@@ -117,7 +117,7 @@ def critical_exponent(S: SemigroupSpec, var) -> CriticalWitness:
 
     alpha*a_var must be divisible by the gcd g of the other generators, so
     alpha runs through multiples of g/gcd(g, a_var) only; each candidate is a
-    single bit test against the scaled subsemigroup table. The cap is provable:
+    single lookup in the Apéry table of the other generators. The cap is provable:
     (a_j/gcd(a_i, a_j))*a_i = lcm(a_i, a_j) lies in <a_j>, so the least alpha
     is at most min_j a_j/gcd(a_i, a_j). Exceeding it means a bug.
     """
@@ -181,7 +181,7 @@ def _skeleton_generators(S, bound):
 
 def _enumerate_generators(S, bound):
     out = []
-    members = S.table.as_bool_array(bound)
+    members = S.membership.as_bool_array(bound)
     for m in np.flatnonzero(members).tolist():
         if m == 0:
             continue
@@ -300,7 +300,7 @@ def verify_generates(S: SemigroupSpec, gens, bound=None) -> bool:
     """
     if bound is None:
         bound = betti.default_bound(S)
-    members = S.table.as_bool_array(bound)
+    members = S.membership.as_bool_array(bound)
     for m in np.flatnonzero(members).tolist():
         facts, _, find = _move_components(S, gens, m)
         if len(facts) < 2:

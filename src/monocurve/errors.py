@@ -26,7 +26,8 @@ class InternalBoundError(MonocurveError):
 
 
 class OutOfRangeError(MonocurveError):
-    """Arguments fall outside the hypotheses of the statement being tested."""
+    """Arguments fall outside the hypotheses of the statement being tested,
+    or the work they ask for is above a documented size cap."""
 
 
 class HypothesisNotMetError(MonocurveError):

@@ -13,6 +13,7 @@ first entry of the tuple itself, never a row label.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -107,12 +108,22 @@ def _scan_row(args) -> ScanRow:
                    content=S.content, totals=table.totals, mu=mu, ci=mu == 3)
 
 
+def worker_count(jobs, tasks):
+    """Processes worth starting: no more than the tasks or the CPUs.
+
+    A fork-started ProcessPoolExecutor launches all ``max_workers`` at its
+    first submit, so asking for more than this only forks idle processes.
+    """
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def _map_ordered(fn, tasks, jobs):
     tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
         return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 

@@ -1,10 +1,16 @@
-"""Numerical semigroups ⟨a1,…,an⟩: membership, Frobenius numbers, Apery sets,
+"""Numerical semigroups ⟨a1,…,an⟩: membership, Frobenius numbers, Apéry sets,
 and factorization enumeration.
 
-Everything here is exact integer arithmetic. Membership lives in a bit table
-(one Python int, bit m set iff m is in the semigroup) that grows geometrically
-on demand; a run of min(generators) consecutive members proves the table is
-complete, which is how the Frobenius number is found without a priori bounds.
+Everything here is exact integer arithmetic. Membership lives in the Apéry
+set Ap(S, q), the least member of S in each residue class mod q, stored as an
+int64 array indexed by residue with q the least generator: m is in S iff
+m >= Ap[m mod q], and the Frobenius number is max(Ap) - q. Ap is a
+shortest-path problem over the residues mod q (Nijenhuis, Amer. Math. Monthly
+1979), solved here by the round-robin algorithm of Böcker and Lipták
+(Algorithmica 2007). Storage and work therefore grow with q and the number of
+generators, never with the Frobenius number. Sub-semigroups (any subset of
+the generators, any gcd) use the same representation after their gcd is
+divided out.
 """
 
 from __future__ import annotations
@@ -14,9 +20,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidPivotError, MustNormalizeError
+from .errors import (InvalidInputError, InvalidPivotError, MustNormalizeError,
+                     OutOfRangeError)
 
 MAX_GENERATORS = 8
+
+# Cap on the cells of one Apéry table (its modulus) and on the candidate
+# degrees of a Betti computation (a1 * 2**(n-1)); larger work is refused with
+# OutOfRangeError before anything is allocated. At the cap, `betti` on four
+# generators peaks at about 240 MB.
+MAX_CELLS = 1 << 22
+
+# Apéry entry of a residue class holding no member (generators not coprime to
+# the modulus); above every reachable entry, which check_size keeps below 2**61.
+UNREACHABLE = 1 << 62
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,115 +62,107 @@ def canonical_key(exponents):
     return tuple(reversed(exponents))
 
 
+def check_size(generators, cells, what):
+    """Refuse work of more than MAX_CELLS cells, or with entries that overflow int64."""
+    if cells > MAX_CELLS:
+        raise OutOfRangeError(
+            f"generators {tuple(generators)}: {what} would take {cells:,} cells, "
+            f"above the cap of {MAX_CELLS:,}")
+    if cells * max(generators, default=0) >= 1 << 61:
+        raise OutOfRangeError(
+            f"generators {tuple(generators)}: {what} would exceed 64-bit integers")
+
+
+def apery_array(generators, q):
+    """Ap(⟨generators⟩, q) as an int64 array indexed by residue mod q.
+
+    Entry r is the least member congruent to r mod q, or UNREACHABLE when the
+    class holds none. Round-robin: generator b is folded in along the cycles
+    r -> r+b mod q of the residues. Started at its least entry, one pass of
+    N[k] = min(N[k], N[k-1] + b) settles a cycle, and that pass is a prefix
+    minimum of N[k] - k*b, so every cycle is settled at once in numpy.
+    """
+    check_size(generators, q, f"the Apéry set mod {q}")
+    ap = np.full(q, UNREACHABLE, dtype=np.int64)
+    ap[0] = 0
+    for b in generators:
+        d = math.gcd(q, b)
+        length = q // d
+        if length == 1:
+            continue
+        steps = np.arange(length, dtype=np.int64)
+        kb = steps * b
+        cycles = (np.arange(d, dtype=np.int64)[:, None] + kb) % q
+        starts = cycles[np.arange(d), np.argmin(ap[cycles], axis=1)]
+        cycles = (starts[:, None] + kb) % q
+        ap[cycles] = np.minimum.accumulate(ap[cycles] - kb, axis=1) + kb
+    return ap
+
+
 class MembershipTable:
-    """Lazily grown membership bit table for a generator tuple.
+    """Membership in the semigroup T generated by ``generators``.
 
-    ``bits`` packs membership of 0..bound into one int (bit m set iff m is a
-    nonnegative combination of the generators). Each generator is folded in
-    with doubling shift-or passes, so a resieve costs O(bound * n * log) bit
-    operations regardless of how sparse the semigroup is.
-
-    Not synchronized: parallel scans confine one table per worker process
-    instead of sharing instances.
+    The generators may be any subset of a semigroup's generators, with any
+    gcd d (``content``). With q the least of the generators divided by d
+    (``modulus``) and ``ap`` = Ap(T/d, q), m is in T iff d divides m and
+    m/d >= ap[(m/d) mod q]. The empty set generates {0}.
     """
 
-    __slots__ = ("generators", "bound", "bits", "_frobenius")
+    __slots__ = ("content", "modulus", "ap")
 
-    def __init__(self, generators, initial_bound=None):
-        self.generators = tuple(generators)
-        if not self.generators or any(a <= 0 for a in self.generators):
+    def __init__(self, generators):
+        if any(a <= 0 for a in generators):
             raise InvalidInputError("generators must be positive integers")
-        self.bound = -1
-        self.bits = 0
-        self._frobenius = None
-        if initial_bound is None:
-            initial_bound = 2 * max(self.generators)
-        self.ensure(initial_bound)
-
-    def ensure(self, bound):
-        """Extend the table so it covers 0..bound."""
-        if bound <= self.bound:
-            return
-        bound = max(bound, 2 * self.bound)
-        mask = (1 << (bound + 1)) - 1
-        bits = 1
-        for a in self.generators:
-            shift = a
-            while shift <= bound:
-                bits |= (bits << shift) & mask
-                shift <<= 1
-        self.bits = bits
-        self.bound = bound
-
-    def contains(self, m):
-        if m < 0:
-            return False
-        if (self._frobenius is None and m > self.bound
-                and math.gcd(*self.generators) == 1):
-            # cheaper to finish the table than to sieve out to m
-            self.frobenius()
-        if self._frobenius is not None and m > self._frobenius:
-            return True
-        self.ensure(m)
-        return bool(self.bits >> m & 1)
-
-    def frobenius(self):
-        """Largest integer not in the semigroup; -1 if there is none.
-
-        Requires gcd(generators) == 1. Grows the table until the last gap is
-        followed by at least min(generators) members, after which every
-        larger integer is a member.
-        """
-        if self._frobenius is not None:
-            return self._frobenius
-        if math.gcd(*self.generators) != 1:
-            raise MustNormalizeError("Frobenius number requires coprime generators")
-        amin = min(self.generators)
-        while True:
-            gaps = ~self.bits & ((1 << (self.bound + 1)) - 1)
-            if gaps == 0:
-                self._frobenius = -1
-                return -1
-            last_gap = gaps.bit_length() - 1
-            if self.bound - last_gap >= amin:
-                self._frobenius = last_gap
-                return last_gap
-            self.ensure(2 * self.bound)
-
-    def as_bool_array(self, bound):
-        """Membership of 0..bound as a numpy bool array."""
-        self.ensure(bound)
-        nbytes = bound // 8 + 1
-        raw = np.frombuffer(self.bits.to_bytes(max(nbytes, (self.bound + 8) // 8), "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: bound + 1].astype(bool)
-
-
-class _SubSemigroup:
-    """Membership oracle for the semigroup generated by a subset of generators.
-
-    The subset may have gcd > 1; membership is tested on the scaled-down table.
-    An empty subset generates {0}.
-    """
-
-    __slots__ = ("gens", "content", "table")
-
-    def __init__(self, gens):
-        self.gens = tuple(gens)
-        if self.gens:
-            self.content = math.gcd(*self.gens)
-            self.table = MembershipTable(tuple(g // self.content for g in self.gens))
+        if generators:
+            self.content = math.gcd(*generators)
+            reduced = [a // self.content for a in generators]
+            self.modulus = min(reduced)
+            self.ap = apery_array(reduced, self.modulus)
         else:
-            self.content = 0
-            self.table = None
+            self.content, self.modulus = 0, 1
+            self.ap = np.zeros(1, dtype=np.int64)
 
     def contains(self, m):
         if m == 0:
             return True
-        if m < 0 or not self.gens:
+        if m < 0 or not self.content or m % self.content:
             return False
-        if m % self.content:
-            return False
-        return self.table.contains(m // self.content)
+        m //= self.content
+        return m >= int(self.ap[m % self.modulus])
+
+    def member_mask(self, xs):
+        """:meth:`contains` over an int64 array; negative entries are not members."""
+        if self.content == 1:  # a whole semigroup: no division needed
+            return xs >= self.ap[xs % self.modulus]
+        if not self.content:
+            return xs == 0
+        reduced = xs // self.content
+        return (xs % self.content == 0) & (reduced >= self.ap[reduced % self.modulus])
+
+    def as_bool_array(self, bound):
+        """Membership of 0..bound as a numpy bool array."""
+        return self.member_mask(np.arange(bound + 1, dtype=np.int64))
+
+    def frobenius(self):
+        """Largest integer outside ⟨generators/d⟩; -1 if there is none."""
+        return int(self.ap.max()) - self.modulus
+
+    def least_cofactor(self, rem, a):
+        """Least c >= 0 with rem - c*a in T, or None.
+
+        The class of rem - c*a mod d*q repeats in c with period
+        d*q / gcd(a, d*q), and a residue class of T is closed upwards, so one
+        period of c decides.
+        """
+        if rem < 0:
+            return None
+        if not self.content:
+            return rem // a if rem % a == 0 else None
+        dq = self.content * self.modulus
+        for c in range(min(rem // a + 1, dq // math.gcd(a, dq))):
+            if self.contains(rem - c * a):
+                return c
+        return None
 
 
 class SemigroupSpec:
@@ -165,7 +174,7 @@ class SemigroupSpec:
     """
 
     __slots__ = ("generators", "content", "reduced", "removed_duplicates",
-                 "_table", "_subsemigroups", "_cache")
+                 "_subsemigroups", "_cache")
 
     def __init__(self, generators, content=1, removed_duplicates=()):
         generators = tuple(int(a) for a in generators)
@@ -184,7 +193,6 @@ class SemigroupSpec:
         self.content = int(content)
         self.reduced = self.content == 1
         self.removed_duplicates = tuple(removed_duplicates)
-        self._table = None
         self._subsemigroups = {}
         self._cache = {}
 
@@ -202,43 +210,18 @@ class SemigroupSpec:
         return len(self.generators)
 
     @property
-    def table(self):
-        if self._table is None:
-            self._table = MembershipTable(self.generators)
-        return self._table
+    def membership(self):
+        """Membership table of the whole semigroup; its ``ap`` is Ap(S, a1)."""
+        return self.subsemigroup(range(self.n))
 
     def subsemigroup(self, indices):
-        """Membership oracle for the generators at the given 0-based indices."""
+        """Membership table for the generators at the given 0-based indices."""
         key = tuple(sorted(indices))
         oracle = self._subsemigroups.get(key)
         if oracle is None:
-            oracle = _SubSemigroup(tuple(self.generators[i] for i in key))
+            oracle = MembershipTable(tuple(self.generators[i] for i in key))
             self._subsemigroups[key] = oracle
         return oracle
-
-    def degree(self, exponents):
-        if len(exponents) != self.n:
-            raise InvalidInputError("exponent length does not match generator count")
-        return sum(e * a for e, a in zip(exponents, self.generators))
-
-    def factorization(self, exponents):
-        exponents = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exponents):
-            raise InvalidInputError("factorization exponents must be nonnegative")
-        return Factorization(exponents, self.degree(exponents))
-
-    def contains(self, m):
-        return contains(self, m)
-
-    def frobenius(self):
-        return frobenius(self)
-
-    def apery(self, x):
-        return apery(self, x)
-
-    def factorizations(self, m):
-        return factorizations(self, m)
-
 
 def normalize(raw) -> SemigroupSpec:
     """Sort, divide out the gcd, and drop exact duplicates.
@@ -273,14 +256,14 @@ def contains(S: SemigroupSpec, m) -> bool:
     m = int(m)
     if m < 0:
         raise InvalidInputError("membership is defined for nonnegative integers")
-    return S.table.contains(m)
+    return S.membership.contains(m)
 
 
 def frobenius(S: SemigroupSpec) -> int:
     """Largest integer not in S; -1 when S is all of the nonnegative integers."""
     if math.gcd(*S.generators) != 1:
         raise MustNormalizeError("Frobenius number requires coprime generators")
-    return S.table.frobenius()
+    return S.membership.frobenius()
 
 
 def apery(S: SemigroupSpec, x) -> set[int]:
@@ -288,18 +271,9 @@ def apery(S: SemigroupSpec, x) -> set[int]:
     x = int(x)
     if x <= 0 or not contains(S, x):
         raise InvalidPivotError(f"{x} is not a positive member of the semigroup")
-    bound = max(frobenius(S), 0) + x
-    table = S.table
-    table.ensure(bound)
-    found: dict[int, int] = {}
-    m = 0
-    while len(found) < x:
-        if table.contains(m):
-            r = m % x
-            if r not in found:
-                found[r] = m
-        m += 1
-    return set(found.values())
+    if math.gcd(*S.generators) != 1:
+        raise MustNormalizeError("Apery sets require coprime generators")
+    return set(apery_array(S.generators, x).tolist())
 
 
 def factorizations(S: SemigroupSpec, m) -> tuple[Factorization, ...]:
@@ -349,9 +323,9 @@ def canonical_factorization(S: SemigroupSpec, m, allowed=None):
     """Minimal factorization of m under :func:`canonical_key`, or None.
 
     ``allowed`` restricts the support to the given 0-based indices. The search
-    is greedy from the largest generator down, testing each residual against
-    the subsemigroup of the remaining allowed generators, so it never
-    enumerates the full fiber.
+    is greedy from the largest generator down: each exponent is the least one
+    that leaves a residual in the subsemigroup of the remaining allowed
+    generators, so it never enumerates the full fiber.
     """
     gens = S.generators
     n = len(gens)
@@ -362,15 +336,11 @@ def canonical_factorization(S: SemigroupSpec, m, allowed=None):
     rem = int(m)
     for pos in range(len(allowed) - 1, -1, -1):
         idx = allowed[pos]
-        rest = S.subsemigroup(allowed[:pos])
-        a = gens[idx]
-        for c in range(rem // a + 1):
-            if rest.contains(rem - c * a):
-                v[idx] = c
-                rem -= c * a
-                break
-        else:
+        c = S.subsemigroup(allowed[:pos]).least_cofactor(rem, gens[idx])
+        if c is None:
             return None
+        v[idx] = c
+        rem -= c * gens[idx]
     if rem != 0:
         return None
     return Factorization(tuple(v), int(m))

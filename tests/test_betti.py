@@ -2,11 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocurve.betti import (DivisorComplex, default_bound, divisor_complex,
-                             face, graded_betti, integer_matrix_rank,
-                             reduced_homology_ranks, skeleton_mu)
-from monocurve.errors import InvalidInputError, MustNormalizeError
-from monocurve.semigroup import SemigroupSpec, frobenius, normalize
+from monocurve import betti, semigroup
+from monocurve.betti import (DivisorComplex, default_bound, degree_patterns,
+                             divisor_complex, face, graded_betti,
+                             integer_matrix_rank, reduced_homology_ranks,
+                             skeleton_mu)
+from monocurve.errors import (InvalidInputError, MustNormalizeError,
+                              OutOfRangeError)
+from monocurve.family import is_complete_intersection
+from monocurve.semigroup import MAX_CELLS, SemigroupSpec, frobenius, normalize
 
 from oracles import brute_generator_degrees, brute_mu, fraction_rank
 
@@ -155,7 +159,7 @@ def test_betti_invariant_under_permutation_and_scaling():
 
 
 def test_seven_generators_loop_path():
-    # n = 7 exercises the non-vectorized pattern path
+    # n = 7: each complex spans two uint64 words (128 faces)
     gens = (8, 9, 10, 11, 12, 13, 15)
     S = normalize(gens)
     t = graded_betti(S)
@@ -171,6 +175,7 @@ def test_five_generators_vectorized_path():
 
 
 def test_eight_generators_loop_path():
+    # n = 8: each complex spans four uint64 words (256 faces)
     from monocurve.binomials import minimal_generators
     gens = (9, 10, 11, 12, 13, 14, 15, 17)
     S = normalize(gens)
@@ -192,3 +197,79 @@ def test_random_tables_satisfy_invariants(gens):
     assert t.totals[0] == 1
     assert t.totals[-1] == 0
     assert t.mu == skeleton_mu(S)
+
+
+def _full_scan_rows(S, bound):
+    """Betti rows from the divisor complex of every degree 0..bound."""
+    rows = {}
+    for m in range(bound + 1):
+        ranks = reduced_homology_ranks(divisor_complex(S, m))
+        if any(ranks):
+            rows[m] = ranks
+    return rows
+
+
+def _assert_candidates_match_full_scan(S):
+    bound = default_bound(S)
+    full = _full_scan_rows(S, bound)
+    t = graded_betti(S)
+    assert list(t.rows.items()) == list(full.items())
+    cut = bound // 2
+    assert list(graded_betti(S, bound=cut).rows.items()) == \
+        [(m, r) for m, r in full.items() if m <= cut]
+
+
+@given(st.lists(st.integers(min_value=3, max_value=30), min_size=2, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_candidate_degrees_match_full_scan(raw):
+    try:
+        S = normalize(raw)
+    except InvalidInputError:
+        return
+    _assert_candidates_match_full_scan(S)
+
+
+def test_candidate_degrees_match_full_scan_wide():
+    for gens in [(8, 9, 10, 11, 12, 13, 15), (9, 10, 11, 12, 13, 14, 15, 17),
+                 (11, 12, 14, 15, 17, 19, 20, 23)]:
+        _assert_candidates_match_full_scan(normalize(gens))
+
+
+def test_candidate_count_is_bounded_by_apery_size():
+    S = normalize((20000, 20002, 20005, 20010))
+    degrees, faces, inverse, counts = degree_patterns(S, default_bound(S))
+    assert len(degrees) <= 20000 * 8
+    assert degrees.tolist() == sorted(set(degrees.tolist()))
+    assert int(counts.sum()) == len(degrees) == len(inverse)
+    assert len(set(faces)) == len(faces)
+    assert graded_betti(S).totals == (1, 3, 3, 1, 0)
+
+
+def test_candidate_cap_refuses_before_allocating(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("built an Apery table for refused work")
+
+    monkeypatch.setattr(semigroup, "apery_array", boom)
+    a = MAX_CELLS // 8 + 1  # a1 * 2**(n-1) is just above the cap for n = 4
+    S = normalize((a, a + 1, a + 3, a + 7))
+    with pytest.raises(OutOfRangeError, match=f"{a}, {a + 1}") as err:
+        graded_betti(S)
+    assert f"{8 * a:,}" in str(err.value)
+    with pytest.raises(OutOfRangeError):
+        degree_patterns(S, 10)
+
+
+def test_patterns_decomposed_once_per_semigroup(monkeypatch):
+    calls = []
+    original = betti._unique_rows
+
+    def counted(words):
+        calls.append(len(words))
+        return original(words)
+
+    monkeypatch.setattr(betti, "_unique_rows", counted)
+    S = normalize((23, 25, 28, 33))
+    assert not is_complete_intersection(S)  # generators, then graded_betti
+    assert skeleton_mu(S) == 6
+    # one call deduplicates the candidate degrees, one their complexes
+    assert len(calls) == 2

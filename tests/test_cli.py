@@ -181,6 +181,13 @@ def test_invalid_generators_exit_1():
     assert "error" in err
 
 
+def test_oversized_work_is_refused_with_its_size():
+    code, out, err = run_cli(["betti", "--gens", "3000000,3000001,3000002"])
+    assert code == 1
+    assert out == ""
+    assert "(3000000, 3000001, 3000002)" in err and "12,000,000" in err
+
+
 def test_diagnostics_on_stderr_only():
     code, out, err = run_cli(["betti", "--gens", "30,32,35,40"])
     assert "elapsed_ms=" in err

@@ -1,11 +1,14 @@
+import os
+
 import pytest
 
+from monocurve import family
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               ci_check_3gen, detect_period,
                               is_complete_intersection, scan, shift_sequence,
-                              verify_theorem_a, verify_theorem_b)
+                              verify_theorem_a, verify_theorem_b, worker_count)
 from monocurve.semigroup import normalize
 
 from oracles import brute_mu
@@ -120,6 +123,28 @@ def test_scan_jobs_do_not_change_rows():
     serial = scan(F, 22, 31, jobs=1)
     parallel = scan(F, 22, 31, jobs=2)
     assert serial.rows == parallel.rows
+
+
+def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_count(8, 3) == 3
+    assert worker_count(8, 100) == 4
+    assert worker_count(2, 100) == 2
+    assert worker_count(1, 100) == 1
+    assert worker_count(8, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(8, 100) == 1
+
+
+def test_scan_with_one_worker_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool for one worker")
+
+    monkeypatch.setattr(family, "ProcessPoolExecutor", no_pool)
+    F = FamilySpec(2, 3, 5, offset=1)
+    assert len(scan(F, 22, 22, jobs=8).rows) == 1  # one task
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert scan(F, 22, 31, jobs=8).rows == scan(F, 22, 31, jobs=1).rows
 
 
 def test_scan_validates_range():

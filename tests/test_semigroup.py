@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monocurve import semigroup
 from monocurve.errors import (InvalidInputError, InvalidPivotError,
-                              MustNormalizeError)
-from monocurve.semigroup import (MembershipTable, SemigroupSpec, apery,
-                                 canonical_factorization, canonical_key,
+                              MustNormalizeError, OutOfRangeError)
+from monocurve.semigroup import (MAX_CELLS, MembershipTable, SemigroupSpec,
+                                 apery, canonical_factorization, canonical_key,
                                  contains, factorizations, frobenius,
                                  normalize)
 
@@ -150,17 +151,45 @@ def test_factorizations_nonempty_iff_member():
         assert bool(factorizations(S, m)) == contains(S, m)
 
 
-def test_membership_table_grows_geometrically():
-    t = MembershipTable((30, 32, 35, 40))
-    first = t.bound
-    t.ensure(first + 1)
-    assert t.bound >= 2 * first
+def test_membership_table_is_apery_set():
+    gens = (30, 32, 35, 40)
+    t = MembershipTable(gens)
+    assert (t.content, t.modulus) == (1, 30)
+    assert len(t.ap) == 30
+    assert set(t.ap.tolist()) == brute_apery(gens, 30)
+    assert all(w % 30 == r for r, w in enumerate(t.ap.tolist()))
+    assert t.frobenius() == brute_frobenius(gens)
+    # gcd 2 is divided out: <4, 6> = 2<2, 3>
+    t = MembershipTable((6, 4))
+    assert (t.content, t.modulus, t.ap.tolist()) == (2, 2, [0, 3])
+    assert [m for m in range(13) if t.contains(m)] == [0, 4, 6, 8, 10, 12]
+    # the empty set generates {0}
+    t = MembershipTable(())
+    assert [m for m in range(5) if t.contains(m)] == [0]
+    assert t.as_bool_array(3).tolist() == [True, False, False, False]
 
 
 def test_contains_far_beyond_table_uses_frobenius():
     S = normalize((30, 32, 35, 40))
     assert contains(S, 10 ** 12)
-    assert S.table.bound < 10 ** 6  # table finished at the run, not sieved out
+    assert S.membership.ap.size == 30  # storage is a1 entries, whatever m is
+
+
+def test_apery_size_cap_refuses_up_front(monkeypatch):
+    small = normalize((2, 3))
+    assert contains(small, MAX_CELLS + 1)  # builds the small table first
+
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated an Apery table above the cap")
+
+    monkeypatch.setattr(semigroup.np, "full", boom)
+    big = normalize((MAX_CELLS + 1, MAX_CELLS + 2))
+    with pytest.raises(OutOfRangeError, match=str(MAX_CELLS + 1)):
+        contains(big, 5)
+    with pytest.raises(OutOfRangeError, match="64-bit"):
+        contains(normalize((3, 2 ** 60)), 5)
+    with pytest.raises(OutOfRangeError):
+        apery(small, MAX_CELLS + 1)
 
 
 def test_table_as_bool_array():
@@ -198,3 +227,80 @@ def test_canonical_factorization_respects_allowed():
     got = canonical_factorization(S, 160, allowed=[1])
     assert got.exponents == (0, 5, 0, 0)
     assert canonical_factorization(S, 160, allowed=[2]) is None
+
+
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=80, deadline=None)
+def test_membership_matches_oracle_on_raw_input(raw, factor):
+    """Any generator list: duplicates and a common factor are allowed."""
+    raw = [factor * a for a in raw]
+    t = MembershipTable(raw)
+    member = brute_members(raw, 250)
+    assert [t.contains(m) for m in range(251)] == member
+    assert t.as_bool_array(250).tolist() == member
+    assert not t.contains(-1)
+    try:
+        S = normalize(raw)
+    except InvalidInputError:
+        return
+    reduced = brute_members(S.generators, 250)
+    assert [contains(S, m) for m in range(251)] == reduced
+
+
+@given(st.lists(st.integers(min_value=2, max_value=40), min_size=2, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_frobenius_matches_oracle_random(raw):
+    try:
+        S = normalize(raw)
+    except InvalidInputError:
+        return
+    assert frobenius(S) == brute_frobenius(S.generators)
+
+
+@given(st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=5),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_apery_matches_oracle_random(raw, data):
+    """Pivots are any positive members, not only generators."""
+    try:
+        S = normalize(raw)
+    except InvalidInputError:
+        return
+    members = [m for m in range(1, 90) if contains(S, m)]
+    x = data.draw(st.sampled_from(members))
+    assert apery(S, x) == brute_apery(S.generators, x)
+
+
+def _oracle_canonical(gens, m, allowed):
+    facts = [f for f in brute_factorizations(gens, m)
+             if all(e == 0 for i, e in enumerate(f) if i not in allowed)]
+    return min(facts, key=canonical_key) if facts else None
+
+
+def test_canonical_factorization_special_subsets():
+    gens = (6, 9, 10, 15)
+    S = normalize(gens)
+    subsets = [(0, 1, 3), (0, 2), (1, 3), (2, 3), (1,), (3,), ()]  # gcd 3, 2, 3, 5
+    for allowed in subsets:
+        for m in range(0, 80):
+            got = canonical_factorization(S, m, allowed=allowed)
+            want = _oracle_canonical(gens, m, set(allowed))
+            assert (got and got.exponents) == want, (allowed, m)
+    assert canonical_factorization(S, 0, allowed=()).exponents == (0, 0, 0, 0)
+    assert canonical_factorization(S, 9, allowed=()) is None
+    assert canonical_factorization(S, 45, allowed=[1]).exponents == (0, 5, 0, 0)
+
+
+@given(st.lists(st.integers(min_value=5, max_value=30), min_size=2, max_size=4),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_canonical_factorization_matches_oracle(raw, data):
+    try:
+        S = normalize(raw)
+    except InvalidInputError:
+        return
+    allowed = data.draw(st.sets(st.integers(min_value=0, max_value=S.n - 1)))
+    m = data.draw(st.integers(min_value=0, max_value=120))
+    got = canonical_factorization(S, m, allowed=allowed)
+    assert (got and got.exponents) == _oracle_canonical(S.generators, m, allowed)
