@@ -14,6 +14,15 @@ Ap(S, a1) for some F ⊆ {2..n} with |F| = i. Complexes are therefore only
 evaluated at the candidate degrees w + a_F, w in Ap(S, a1): at most
 a1 * 2**(n-1) of them, however large the Frobenius number.
 
+The same reading shrinks the homology. The Koszul complex of K[S]/(t^a1) in
+degree m has one basis cell per F ⊆ {2..n} with m - a_F in Ap(S, a1), that
+is, per face F of the divisor complex without vertex 1 for which F ∪ {1} is
+not a face. Those cells span the relative chains of (del_1, lk_1), the
+deletion and link of vertex 1, and H(del_1, lk_1) = H~(Δ) for every
+simplicial complex Δ by excision, since the star of vertex 1 is a cone. So
+ranks are taken on at most C(n-1, k) x C(n-1, k-1) boundary matrices instead
+of the whole complex.
+
 Faces are encoded as variable bitmasks (bit i-1 set iff generator i in the
 face); a whole complex on n vertices is one integer with 2**n face bits.
 The complexes of all candidate degrees are built together as rows of
@@ -23,6 +32,7 @@ memoized per face-set integer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +125,16 @@ def integer_matrix_rank(rows) -> int:
     return rank
 
 
-def _faces_by_count(nvars, faceset):
-    by_count = [[] for _ in range(nvars + 1)]
-    for f in range(1 << nvars):
-        if faceset >> f & 1:
-            by_count[f.bit_count()].append(f)
-    return by_count
+@functools.cache
+def _face_masks(nvars):
+    """(faces without vertex 1, faces of even size) as face-set integers."""
+    faces = range(1 << nvars)
+    return (sum(1 << f for f in faces if not f & 1),
+            sum(1 << f for f in faces if not f.bit_count() & 1))
 
 
 def _boundary_matrix(lower, upper):
-    """Matrix of the boundary map from |upper|-element faces to |lower|-element ones."""
+    """Boundary map from the ``upper`` cells to the ``lower`` ones; other targets are dropped."""
     index = {f: i for i, f in enumerate(lower)}
     rows = [[0] * len(upper) for _ in lower]
     for col, f in enumerate(upper):
@@ -132,28 +142,45 @@ def _boundary_matrix(lower, upper):
         g = f
         while g:
             v = g & -g
-            rows[index[f ^ v]][col] = sign
+            row = index.get(f ^ v)
+            if row is not None:
+                rows[row][col] = sign
             sign = -sign
             g ^= v
     return rows
 
 
 def _reduced_ranks(nvars, faceset) -> tuple[int, ...]:
-    """Reduced homology ranks over Q, indexed by dimension -1..nvars-1."""
+    """Reduced homology ranks over Q, indexed by dimension -1..nvars-1.
+
+    Computed as H(del_1, lk_1) (module docstring). Its cells are the faces F
+    without vertex 1 (even masks) with F ∪ {1} not a face, ∅ included by the
+    same rule: for the void complex there are none, and when vertex 1 is
+    absent every face without it is a cell, which is the augmented complex.
+    For a divisor complex the cells are the Koszul cells F ⊆ {2..n} with
+    m - a_F in Ap(S, a1). Faces F and F ∪ {1} cancel in the Euler
+    characteristic, so the cells must have that of the whole face set.
+    """
     key = (nvars, faceset)
     memo = _RANKS_MEMO.get(key)
     if memo is not None:
         return memo
-    if faceset == 0:
-        ranks = (0,) * (nvars + 1)
-        _RANKS_MEMO[key] = ranks
-        return ranks
-    by_count = _faces_by_count(nvars, faceset)
-    counts = [len(fs) for fs in by_count]
+    without_1, even_size = _face_masks(nvars)
+    cellset = faceset & ~(faceset >> 1) & without_1
+    cells = [[] for _ in range(nvars + 1)]
+    while cellset:
+        low = cellset & -cellset
+        f = low.bit_length() - 1
+        cells[f.bit_count()].append(f)
+        cellset ^= low
+    counts = [len(fs) for fs in cells]
+    euler = (faceset & even_size).bit_count() - (faceset & ~even_size).bit_count()
+    if sum((-1) ** k * c for k, c in enumerate(counts)) != euler:
+        raise MonocurveError("Euler characteristic of the cells differs from the complex's")
     bd_rank = [0] * (nvars + 2)
     for k in range(1, nvars + 1):
         if counts[k] and counts[k - 1]:
-            bd_rank[k] = integer_matrix_rank(_boundary_matrix(by_count[k - 1], by_count[k]))
+            bd_rank[k] = integer_matrix_rank(_boundary_matrix(cells[k - 1], cells[k]))
     ranks = []
     for k in range(nvars + 1):
         if bd_rank[k] + bd_rank[k + 1] > counts[k]:
@@ -298,7 +325,9 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
     beta_{i,m} = rank of reduced homology of the divisor complex of m in
     dimension i-1, for every candidate degree m up to the Betti-degree bound.
     The homology rank in dimension 0 is cross-checked against the component
-    count of the 1-skeleton for every distinct complex encountered.
+    count of the whole 1-skeleton for every distinct complex encountered; a
+    failed per-complex check names the generators, a degree that carries the
+    complex, and the check.
     """
     n = S.n
     provable = default_bound(S)
@@ -306,12 +335,16 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
         bound = provable
     degrees, faces, inverse, counts = degree_patterns(S, bound)
 
-    ranks_by_u = [_reduced_ranks(n, u) for u in faces]
-    for u, ranks in zip(faces, ranks_by_u):
-        if _vertex_count(n, u) >= 1:
-            comps = len(_skeleton_components(n, u))
-            if ranks[1] != comps - 1:
+    ranks_by_u = []
+    for index, u in enumerate(faces):
+        try:
+            ranks = _reduced_ranks(n, u)
+            if _vertex_count(n, u) >= 1 and ranks[1] != len(_skeleton_components(n, u)) - 1:
                 raise MonocurveError("homology rank and skeleton components disagree")
+        except MonocurveError as err:
+            m = int(degrees[np.argmax(inverse == index)])
+            raise MonocurveError(f"generators {S.generators}, degree {m}: {err}") from err
+        ranks_by_u.append(ranks)
 
     totals = [0] * (n + 1)
     for ranks, c in zip(ranks_by_u, counts):

@@ -179,62 +179,18 @@ def _skeleton_generators(S, bound):
     return out
 
 
-def _enumerate_generators(S, bound):
-    out = []
-    members = S.membership.as_bool_array(bound)
-    for m in np.flatnonzero(members).tolist():
-        if m == 0:
-            continue
-        facts = factorizations(S, m)
-        if len(facts) < 2:
-            continue
-        parent = list(range(len(facts)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        # chain all factorizations using a variable; transitively this joins
-        # exactly the pairs with non-disjoint support
-        for var in range(S.n):
-            first = None
-            for idx, f in enumerate(facts):
-                if f.exponents[var]:
-                    if first is None:
-                        first = idx
-                    else:
-                        parent[find(idx)] = find(first)
-        comps: dict[int, list[Factorization]] = {}
-        for idx, f in enumerate(facts):
-            comps.setdefault(find(idx), []).append(f)
-        if len(comps) < 2:
-            continue
-        reps = [min(group, key=lambda f: canonical_key(f.exponents))
-                for group in comps.values()]
-        out.extend(_emit_degree(m, reps))
-    return out
-
-
-def minimal_generators(S: SemigroupSpec, bound=None, method="skeleton"):
+def minimal_generators(S: SemigroupSpec, bound=None):
     """(minimal binomial generating set, mu) for the defining ideal.
 
-    ``method="enumerate"`` builds the factorization graph of every degree
-    explicitly; ``method="skeleton"`` reads the component structure off the
-    divisor-complex 1-skeleton and finds one canonical representative per
-    component by greedy search, which gives the identical output without
-    enumerating fibers. Both iterate degrees ascending and break ties with
-    :func:`canonical_key`, so the emitted order is reproducible.
+    The component structure of each degree's factorization graph is read off
+    the divisor-complex 1-skeleton, and one canonical representative per
+    component is found by greedy search, without enumerating fibers. Degrees
+    ascend and ties break by :func:`canonical_key`, so the emitted order is
+    reproducible.
     """
     if bound is None:
         bound = betti.default_bound(S)
-    if method == "skeleton":
-        gens = _skeleton_generators(S, bound)
-    elif method == "enumerate":
-        gens = _enumerate_generators(S, bound)
-    else:
-        raise InvalidInputError(f"unknown method: {method}")
+    gens = _skeleton_generators(S, bound)
     for g in gens:
         if not g.is_homogeneous() or not kernel_member(S, g.vector()):
             raise MonocurveError("emitted generator is not in the kernel")

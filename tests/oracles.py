@@ -4,9 +4,22 @@ Everything here favors obviousness over speed: membership by forward dynamic
 programming over a list, factorizations by bare recursion, matrix rank by
 Fraction Gaussian elimination, and minimal-generator counts by building the
 full factorization graph of every degree.
+
+Two oracles reuse package pieces that are themselves tested against the ones
+above. ``full_complex_ranks`` takes homology on every face of the complex,
+with ranks by ``integer_matrix_rank`` (checked against ``fraction_rank``).
+``enumerate_generators`` builds the factorization graph of every member
+degree from ``factorizations`` (checked against ``brute_factorizations``) and
+returns package ``Binomial`` objects, so its output compares with
+``minimal_generators`` as is.
 """
 
+import functools
 from fractions import Fraction
+
+from monocurve.betti import default_bound, integer_matrix_rank
+from monocurve.binomials import Binomial
+from monocurve.semigroup import canonical_key, factorizations
 
 
 def brute_members(gens, bound):
@@ -115,3 +128,74 @@ def fraction_rank(rows):
         if rank == nr:
             break
     return rank
+
+
+def _full_boundary(lower, upper):
+    """Boundary matrix from the k-faces ``upper`` to the (k-1)-faces ``lower``."""
+    index = {f: i for i, f in enumerate(lower)}
+    rows = [[0] * len(upper) for _ in lower]
+    for col, f in enumerate(upper):
+        vertices = [v for v in range(f.bit_length()) if f >> v & 1]
+        for pos, v in enumerate(vertices):
+            rows[index[f ^ (1 << v)]][col] = (-1) ** pos
+    return rows
+
+
+@functools.cache
+def full_complex_ranks(nvars, faceset):
+    """Reduced homology ranks over Q, dimensions -1..nvars-1, from every face.
+
+    ``faceset`` has bit f set iff the face with variable bitmask f is in the
+    complex; the empty face is included whenever the complex is not void.
+    """
+    by_count = [[] for _ in range(nvars + 1)]
+    for f in range(1 << nvars):
+        if faceset >> f & 1:
+            by_count[f.bit_count()].append(f)
+    counts = [len(fs) for fs in by_count]
+    bd_rank = [0] * (nvars + 2)
+    for k in range(1, nvars + 1):
+        if counts[k] and counts[k - 1]:
+            bd_rank[k] = integer_matrix_rank(_full_boundary(by_count[k - 1], by_count[k]))
+    return tuple(counts[k] - bd_rank[k] - bd_rank[k + 1] for k in range(nvars + 1))
+
+
+def enumerate_generators(S, bound=None):
+    """(minimal generators, mu) from the factorization graph of every degree.
+
+    Factorizations sharing a variable are joined; each degree with c > 1
+    components emits c - 1 binomials from the canonical-least representative
+    of the first component to those of the others, ordered by canonical_key.
+    """
+    if bound is None:
+        bound = default_bound(S)
+    out = []
+    member = brute_members(S.generators, bound)
+    for m in range(1, bound + 1):
+        if not member[m]:
+            continue
+        facts = factorizations(S, m)
+        parent = list(range(len(facts)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        # chain all factorizations using a variable; transitively this joins
+        # exactly the pairs with non-disjoint support
+        for var in range(S.n):
+            using = [idx for idx, f in enumerate(facts) if f.exponents[var]]
+            for idx in using[1:]:
+                parent[find(idx)] = find(using[0])
+        comps = {}
+        for idx, f in enumerate(facts):
+            comps.setdefault(find(idx), []).append(f)
+        if len(comps) < 2:
+            continue
+        reps = sorted((min(group, key=lambda f: canonical_key(f.exponents))
+                       for group in comps.values()),
+                      key=lambda f: canonical_key(f.exponents))
+        out.extend(Binomial(plus=reps[0], minus=other) for other in reps[1:])
+    return out, len(out)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +10,13 @@ from monocurve.betti import (DivisorComplex, default_bound, degree_patterns,
                              divisor_complex, face, graded_betti,
                              integer_matrix_rank, reduced_homology_ranks,
                              skeleton_mu)
-from monocurve.errors import (InvalidInputError, MustNormalizeError,
-                              OutOfRangeError)
+from monocurve.errors import (InvalidInputError, MonocurveError,
+                              MustNormalizeError, OutOfRangeError)
 from monocurve.family import is_complete_intersection
 from monocurve.semigroup import MAX_CELLS, SemigroupSpec, frobenius, normalize
 
-from oracles import brute_generator_degrees, brute_mu, fraction_rank
+from oracles import (brute_generator_degrees, brute_mu, enumerate_generators,
+                     fraction_rank, full_complex_ranks)
 
 
 def test_divisor_complex_paper_degree():
@@ -70,6 +74,66 @@ def test_homology_rejects_non_complex():
     assert not C.is_downward_closed()
     with pytest.raises(InvalidInputError):
         reduced_homology_ranks(C)
+
+
+def _closure(facets):
+    faces = set()
+    for F in facets:
+        g = F
+        while True:
+            faces.add(g)
+            if not g:
+                break
+            g = (g - 1) & F
+    return frozenset(faces)
+
+
+def _faceset(faces):
+    return sum(1 << f for f in faces)
+
+
+@st.composite
+def _complexes(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    facets = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    return n, _closure(facets)
+
+
+@given(_complexes())
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_full_complex_oracle(case):
+    n, faces = case
+    C = DivisorComplex(degree=0, nvars=n, faces=faces)
+    assert reduced_homology_ranks(C) == full_complex_ranks(n, _faceset(faces))
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2_FACETS = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+              (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+@pytest.mark.parametrize("nvars, facets, expected", [
+    (4, None, (0, 0, 0, 0, 0)),                                   # void
+    (4, [()], (1, 0, 0, 0, 0)),                                   # {∅}
+    (4, [(2, 3), (3, 4), (2, 4)], (0, 0, 1, 0, 0)),               # vertex 1 absent
+    (4, [(1, 2, 3), (1, 3, 4), (1, 2, 4)], (0, 0, 0, 0, 0)),      # cone over vertex 1
+    (4, [(1, 2), (3, 4)], (0, 1, 0, 0, 0)),                       # vertex 1 in one of two parts
+    (6, RP2_FACETS, (0,) * 7),                                    # H~ = 0 over Q
+])
+def test_homology_fixed_complexes(nvars, facets, expected):
+    faces = frozenset() if facets is None else _closure(face(*F) for F in facets)
+    C = DivisorComplex(degree=0, nvars=nvars, faces=faces)
+    assert reduced_homology_ranks(C) == expected
+    assert full_complex_ranks(nvars, _faceset(faces)) == expected
+
+
+def test_rp2_triangulation_is_a_closed_surface():
+    faces = _closure(face(*F) for F in RP2_FACETS)
+    edges = [f for f in faces if f.bit_count() == 2]
+    assert len(edges) == 15
+    assert all(sum(1 for F in RP2_FACETS if face(*F) & e == e) == 2 for e in edges)
+    # 1 - 6 + 15 - 10 = 0: χ = 1, yet H_1 over Z is Z/2, which Q does not see
+    assert sum((-1) ** f.bit_count() for f in faces) == 0
 
 
 def test_integer_matrix_rank_against_fraction_oracle():
@@ -176,11 +240,10 @@ def test_five_generators_vectorized_path():
 
 def test_eight_generators_loop_path():
     # n = 8: each complex spans four uint64 words (256 faces)
-    from monocurve.binomials import minimal_generators
     gens = (9, 10, 11, 12, 13, 14, 15, 17)
     S = normalize(gens)
     t = graded_betti(S)
-    assert t.mu == minimal_generators(S, method="enumerate")[1]
+    assert t.mu == enumerate_generators(S)[1]
     assert sum((-1) ** i * b for i, b in enumerate(t.totals)) == 0
     assert t.totals[-1] == 0
 
@@ -200,10 +263,10 @@ def test_random_tables_satisfy_invariants(gens):
 
 
 def _full_scan_rows(S, bound):
-    """Betti rows from the divisor complex of every degree 0..bound."""
+    """Betti rows from the whole divisor complex of every degree 0..bound."""
     rows = {}
     for m in range(bound + 1):
-        ranks = reduced_homology_ranks(divisor_complex(S, m))
+        ranks = full_complex_ranks(S.n, _faceset(divisor_complex(S, m).faces))
         if any(ranks):
             rows[m] = ranks
     return rows
@@ -273,3 +336,51 @@ def test_patterns_decomposed_once_per_semigroup(monkeypatch):
     assert skeleton_mu(S) == 6
     # one call deduplicates the candidate degrees, one their complexes
     assert len(calls) == 2
+
+
+def test_errors_name_generators_degree_and_check(monkeypatch):
+    original = betti._skeleton_components
+    monkeypatch.setattr(betti, "_skeleton_components", lambda n, u: original(n, u) + (0,))
+    S = normalize((23, 25, 28, 33))
+    with pytest.raises(MonocurveError, match=r"^generators \(23, 25, 28, 33\), degree \d+: "
+                       r"homology rank and skeleton components disagree$") as err:
+        graded_betti(S)
+    m = int(re.search(r"degree (\d+)", str(err.value)).group(1))
+    assert m in degree_patterns(S, default_bound(S))[0].tolist()
+    assert any(f.bit_count() == 1 for f in divisor_complex(S, m).faces)
+
+
+@pytest.mark.parametrize("patch, check", [
+    # drop the empty cell: {∅} at degree 0 loses its Euler characteristic
+    ("_face_masks", "Euler characteristic of the cells differs from the complex's"),
+    ("integer_matrix_rank", "boundary ranks violate rank-nullity"),
+])
+def test_cell_check_errors_name_generators_degree_and_check(monkeypatch, patch, check):
+    original = getattr(betti, patch)
+    if patch == "_face_masks":
+        monkeypatch.setattr(betti, patch, lambda n: (original(n)[0] & ~1, original(n)[1]))
+    else:
+        monkeypatch.setattr(betti, patch, lambda rows: original(rows) + len(rows))
+    monkeypatch.setattr(betti, "_RANKS_MEMO", {})
+    with pytest.raises(MonocurveError,
+                       match=rf"^generators \(30, 32, 35, 40\), degree \d+: {check}$"):
+        graded_betti(normalize((30, 32, 35, 40)))
+
+
+def test_homology_cells_stay_within_apery_koszul_bound(monkeypatch):
+    # counts, not timings: cells are F ⊆ {2..8}, so a boundary matrix has at
+    # most C(7,3)·C(7,4) entries; the whole complexes would need 1.9 million
+    cells = []
+    original = betti.integer_matrix_rank
+
+    def counted(rows):
+        cells.append(len(rows) * len(rows[0]))
+        return original(rows)
+
+    monkeypatch.setattr(betti, "integer_matrix_rank", counted)
+    monkeypatch.setattr(betti, "_RANKS_MEMO", {})
+    t = graded_betti(normalize((26, 39, 40, 59, 61, 70, 73, 77)))
+    assert t.totals == (1, 23, 103, 215, 250, 167, 60, 9, 0)
+    assert cells
+    assert max(cells) <= math.comb(7, 3) * math.comb(7, 4) == 1225
+    assert sum(cells) < 20_000

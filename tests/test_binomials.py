@@ -13,7 +13,7 @@ from monocurve.errors import (DegenerateInputError, InvalidInputError,
                               MonocurveError)
 from monocurve.semigroup import factorizations, normalize
 
-from oracles import brute_generator_degrees, brute_mu
+from oracles import brute_generator_degrees, brute_mu, enumerate_generators
 
 
 def test_kernel_member_examples():
@@ -147,11 +147,9 @@ def test_methods_agree():
     for gens in [(30, 32, 35, 40), (23, 25, 28, 33), (1, 2, 3, 4), (2, 3),
                  (7, 11, 13), (24, 36, 39, 40), (6, 10, 15)]:
         S = normalize(gens)
-        a = minimal_generators(S, method="skeleton")
-        b = minimal_generators(S, method="enumerate")
+        a = minimal_generators(S)
+        b = enumerate_generators(S)
         assert a == b, gens
-    with pytest.raises(InvalidInputError):
-        minimal_generators(normalize((2, 3)), method="nope")
 
 
 def test_mu_matches_brute_oracle():
