@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import difflib
 import io
 import json
 import math
@@ -463,6 +462,7 @@ def _cmd_table(args):
     if check.passed:
         pretty = [f"example {check.example}: PASS ({good}/{total} rows match)"]
     else:
+        import difflib
         expected_lines = [f"j={j} -> {_totals_str(check.expected[j])}"
                           for j in sorted(check.expected)]
         computed_lines = [f"j={j} -> {_totals_str(check.computed[j])}"

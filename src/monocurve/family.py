@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .betti import graded_betti
@@ -109,12 +108,18 @@ def _scan_row(args) -> ScanRow:
 
 
 def worker_count(jobs, tasks):
-    """Processes worth starting: no more than the tasks or the CPUs.
+    """Processes worth starting: no more than the tasks or the usable CPUs.
 
     A fork-started ProcessPoolExecutor launches all ``max_workers`` at its
     first submit, so asking for more than this only forks idle processes.
+    Usable CPUs are those this process may run on (its affinity mask, which
+    taskset or a cpuset narrows), not the host's count.
     """
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, tasks, cpus))
 
 
 def _map_ordered(fn, tasks, jobs):
@@ -122,6 +127,7 @@ def _map_ordered(fn, tasks, jobs):
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))

@@ -6,7 +6,6 @@ Each check prints one [acceptance] PASS/FAIL line (visible with pytest -s).
 """
 
 import io
-import json
 import math
 import random
 import time
@@ -18,7 +17,7 @@ from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
 from monocurve.cli import reproduce_table, run as cli_run
 from monocurve.family import (FamilySpec, ci_check_3gen, verify_theorem_a,
                               verify_theorem_b)
-from monocurve.semigroup import frobenius, normalize
+from monocurve.semigroup import normalize
 
 from oracles import brute_mu, enumerate_generators
 

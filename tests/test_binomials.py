@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocurve.binomials import (Binomial, binomial_from_vector,
-                                 critical_exponent, full_critical_set,
-                                 ideal_equivalent, kernel_member,
-                                 minimal_generators, reduces_to_zero,
-                                 verify_generates)
-from monocurve.errors import (DegenerateInputError, InvalidInputError,
-                              MonocurveError)
+from monocurve.binomials import (binomial_from_vector, critical_exponent,
+                                 full_critical_set, ideal_equivalent,
+                                 kernel_member, minimal_generators,
+                                 reduces_to_zero, verify_generates)
+from monocurve.errors import DegenerateInputError, InvalidInputError
 from monocurve.semigroup import factorizations, normalize
 
 from oracles import brute_generator_degrees, brute_mu, enumerate_generators

@@ -1,11 +1,16 @@
+import concurrent.futures
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
-import pytest
 from importlib.resources import files
 
 from monocurve import cli
+from monocurve.family import worker_count
 
 
 def run_cli(argv):
@@ -94,7 +99,15 @@ def test_repeated_runs_byte_identical():
     assert first == second
 
 
-def test_jobs_do_not_change_bytes():
+def test_jobs_do_not_change_bytes(monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     base = ["scan", "--abc", "2,3,5", "--from", "22", "--to", "31"]
     for fmt in ("csv", "json"):
         outs = set()
@@ -102,6 +115,39 @@ def test_jobs_do_not_change_bytes():
             _, out, _ = run_cli(base + ["--format", fmt, "--jobs", jobs])
             outs.add(out)
         assert len(outs) == 1, fmt
+    # with 2 usable CPUs each --jobs 2 run went through a real pool
+    assert pools == ([2, 2] if worker_count(2, 10) == 2 else [])
+
+
+# Runs one command in a fresh interpreter, then prints as its last line the
+# exit code, whether the command wrote a result, and which of the given
+# modules it left loaded. argparse writes --help to sys.stdout directly.
+_LOADED_AFTER = """
+import io, json, sys
+from monocurve import cli
+out = io.StringIO()
+code = cli.run(sys.argv[1:], out, io.StringIO())
+names = {names!r}
+print(json.dumps([code, bool(out.getvalue()), sorted(names & set(sys.modules))]))
+"""
+
+
+def test_default_commands_load_no_pool_or_diff_modules():
+    names = {"concurrent.futures.process", "multiprocessing", "difflib"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = _LOADED_AFTER.format(names=names)
+    for argv in (["--help"],
+                 ["betti", "--gens", "30,32,35,40"],
+                 ["scan", "--abc", "2,3,5", "--from", "22", "--to", "31",
+                  "--jobs", "1"]):
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        code, wrote, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, argv
+        assert wrote or argv == ["--help"], argv
+        assert loaded == [], (argv, loaded)
 
 
 def test_betti_jobs_env_default(monkeypatch):

@@ -1,8 +1,8 @@
+import concurrent.futures
 import os
 
 import pytest
 
-from monocurve import family
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
@@ -127,11 +127,20 @@ def test_scan_jobs_do_not_change_rows():
 
 def test_worker_count_clamps_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     assert worker_count(8, 3) == 3
     assert worker_count(8, 100) == 4
     assert worker_count(2, 100) == 2
     assert worker_count(1, 100) == 1
     assert worker_count(8, 0) == 1
+    # taskset or a cpuset: 2 usable CPUs of the 4 the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert worker_count(8, 100) == 2
+    # platforms without an affinity mask fall back to cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count(8, 100) == 4
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert worker_count(8, 100) == 1
 
@@ -140,10 +149,13 @@ def test_scan_with_one_worker_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a process pool for one worker")
 
-    monkeypatch.setattr(family, "ProcessPoolExecutor", no_pool)
+    # _map_ordered imports the pool class from here when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     F = FamilySpec(2, 3, 5, offset=1)
     assert len(scan(F, 22, 22, jobs=8).rows) == 1  # one task
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
     assert scan(F, 22, 31, jobs=8).rows == scan(F, 22, 31, jobs=1).rows
 
 
