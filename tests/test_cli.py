@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 from importlib.resources import files
 
 from monocurve import cli
@@ -245,3 +247,61 @@ def test_bound_override():
                             "--bound-override", "150"])
     rows = json.loads(out)["payload"]["rows"]
     assert set(rows) == {"0", "70", "120"}
+
+
+# sha256 of stdout and the exit code of every report, in every format, as
+# rendered before the single render path; any byte of difference fails
+GOLDEN_RENDERS = {
+    "betti --gens 30,32,35,40": {
+        "pretty": (0, "1320a8319f1d85f8f2653c1aaeb65cea31f85ce495a3799cde4999488380dd64"),
+        "csv": (0, "5218237b1d178b2f59b594789c6b805e44c767a0c287e2bf9b6fce2ccbfaa775"),
+        "json": (0, "39d348d0f9a6d2d47d1a9f77295054fa176a571d02e4799409170c587fcaed4b"),
+    },
+    "gens --gens 30,32,35,40": {
+        "pretty": (0, "5d58df962387e66ea86f27276a250f910044f1f58add445ba9041ab8ba10399b"),
+        "csv": (0, "d439503af44c41b446ee0cc397d893a6b599805fce8dd9842a07a4427bca1754"),
+        "json": (0, "4a720008a334a6ed061d9f128904c2996287ccd8626c058d8275f329c4ec732a"),
+    },
+    "critical --gens 30,32,35,40": {
+        "pretty": (0, "12fca6ee2a8c849e1165ff7ac1afac076a3615122f0ce6de898007d774dfcf24"),
+        "csv": (0, "39daa30bc8dbd36fefa1ee63019e3888c58285059866b199a7550f5c28a69128"),
+        "json": (0, "7aa2ce572c7be327446fff875453c98328d7c1fe130b7b78a55021d3a4b5312a"),
+    },
+    "scan --abc 2,3,5 --from 22 --to 51": {
+        "pretty": (0, "25a75d078b8eeba6bee86107439a686fa4ab27be408d87311e43f9235857698c"),
+        "csv": (0, "4f80aa5c81c00548f0c43f67c6798932fa239be9b65ab99ee8446ac382d5bcea"),
+        "json": (0, "134f9463b8494bf898be7530093ca05a448e6adc27d253e2a041287c2b858e5a"),
+    },
+    "verify theorem-a --abc 12,3,1 --n-max 3": {
+        "pretty": (2, "3860f1990a3f65aa11a3640b91477b19e74c22c0c5923a40364f252fef7d5535"),
+        "csv": (2, "2e5daa9cc3878eb9c7e31609c42272fc43484daadddb0a2233b2e6981198b350"),
+        "json": (2, "8ff9ab82c838ccbe116810a14aa6152fedcb745d01d6dc940797213d80d86856"),
+    },
+    "verify theorem-b --abc 2,3,5 --from 1000 --to 1005": {
+        "pretty": (0, "3d6be0227fe6b67bd5940016889e6289b9affc254de8f6aa7c0dd102d1962985"),
+        "csv": (0, "939920e8ddea78cfaa2988df9706bec3498ab59b4ce1f9202e144e084fcb87c0"),
+        "json": (0, "1d52009300eb163e11759883d83c72f14d7e8b05142b3f385d308e1e198d3548"),
+    },
+    "verify hs3 --q 12 --a 1 --b 2": {
+        "pretty": (0, "fd8a70babb164f6c87a030b27f1e1c01726bb806443bee944506f99e373a6c34"),
+        "csv": (0, "8666d6de727395ca4e14ac856acd0dcb603b4396227789c97bf9900845727664"),
+        "json": (0, "86fcf065774752b9456daaf6bc762899902a40a40607c8302adb89f84cfca0fd"),
+    },
+    "verify hs3 --q-max 30 --ab-max 5": {
+        "pretty": (0, "64c2bb7abdd253f4a70c7c418122baa4f6b45cf89b3461c0c933e2462f9a8995"),
+        "csv": (0, "d5dcbee8d18898b1bd6b153dd3942d315720d53a179bbe76596fcff71bfaaf47"),
+        "json": (0, "2f0b6b095472173e2592d712657480f40863bb588a5a9b0f6419160a7e7f2bcf"),
+    },
+    "table --example 1": {
+        "pretty": (0, "835535e4956301ff7e8ce8229b6732f613baa69c312d70b5305c5499348c0ff2"),
+        "csv": (0, "54eab8da4b494e04fac446071a5733d014ba63f941ec2a402998e1312dabf84a"),
+        "json": (0, "5e2993d1a85e440dd61cf2070a33407867b4ed1fd620776ae258632f98cda6e6"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_RENDERS))
+@pytest.mark.parametrize("fmt", ["pretty", "csv", "json"])
+def test_golden_render(command, fmt):
+    code, out, _ = run_cli(command.split() + ["--format", fmt])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_RENDERS[command][fmt]
