@@ -1,21 +1,19 @@
 """Exact Betti tables and complete-intersection scans for shifted
 numerical semigroup families."""
 
-from .betti import (DivisorComplex, GradedBettiTable, default_bound,
-                    divisor_complex, face, graded_betti,
-                    reduced_homology_ranks, skeleton_mu)
+from .betti import GradedBettiTable, default_bound, graded_betti
 from .binomials import (Binomial, CriticalWitness, binomial_from_vector,
                         critical_exponent, full_critical_set, ideal_equivalent,
-                        kernel_member, minimal_generators, reduces_to_zero,
-                        verify_generates)
+                        kernel_member, minimal_generators, reduces_to_zero)
 from .errors import (DegenerateInputError, HypothesisNotMetError,
                      InsufficientDataError, InternalBoundError,
                      InvalidInputError, InvalidPivotError, MonocurveError,
                      MustNormalizeError, OutOfRangeError)
 from .family import (FamilyScanReport, FamilySpec, PeriodInfo, ScanRow,
-                     TheoremAReport, TheoremBReport, ci_check_3gen,
-                     detect_period, is_complete_intersection, scan,
-                     shift_sequence, verify_theorem_a, verify_theorem_b)
+                     TableCheck, TheoremAReport, TheoremBReport, ci_check_3gen,
+                     detect_period, hs3_agree, hs3_sweep,
+                     is_complete_intersection, reproduce_table, scan,
+                     verify_theorem_a, verify_theorem_b)
 from .semigroup import (Factorization, MembershipTable, SemigroupSpec, apery,
                         contains, factorizations, frobenius, normalize)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, MonocurveError, MustNormalizeError
+from .errors import MonocurveError, MustNormalizeError
 from .semigroup import SemigroupSpec, check_size, frobenius
 
 # degree x face cells tested in one membership pass of degree_patterns
@@ -47,54 +47,16 @@ _RANKS_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
 _COMPONENTS_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def face(*variables):
-    """Bitmask for a face given 1-based variable numbers: face(1, 4) -> 0b1001."""
-    return sum(1 << (v - 1) for v in variables)
-
-
-@dataclass(frozen=True)
-class DivisorComplex:
-    """Squarefree divisor complex of one degree, faces as variable bitmasks."""
-
-    degree: int
-    nvars: int
-    faces: frozenset[int]
-
-    def is_downward_closed(self):
-        for f in self.faces:
-            g = f
-            while g:
-                v = g & -g
-                if f ^ v not in self.faces:
-                    return False
-                g ^= v
-        return True
-
-
 @dataclass(frozen=True)
 class GradedBettiTable:
-    """Rows m -> (beta_{0,m},…,beta_{n,m}) plus column totals and twists.
-
-    Rows with all-zero homology are omitted. ``twists`` lists, per column,
-    the degrees with a nonzero entry, repeated with multiplicity.
-    """
+    """Rows m -> (beta_{0,m},…,beta_{n,m}), all-zero rows omitted, and column totals."""
 
     rows: dict[int, tuple[int, ...]]
     totals: tuple[int, ...]
-    twists: tuple[tuple[int, ...], ...]
 
     @property
     def mu(self):
         return self.totals[1]
-
-    def pretty_totals(self):
-        return "(" + ", ".join(str(b) for b in self.totals) + ")"
-
-    def to_json_dict(self):
-        return {
-            "totals": list(self.totals),
-            "rows": {str(m): list(r) for m, r in self.rows.items()},
-        }
 
 
 def integer_matrix_rank(rows) -> int:
@@ -220,34 +182,6 @@ def _skeleton_components(nvars, faceset) -> tuple[int, ...]:
     return comps
 
 
-def divisor_complex(S: SemigroupSpec, m) -> DivisorComplex:
-    """Faces F with m - sum(a_i, i in F) in S; downward closure is verified."""
-    m = int(m)
-    if m < 0:
-        raise InvalidInputError("degree must be nonnegative")
-    n = S.n
-    gens = S.generators
-    faces = []
-    for f in range(1 << n):
-        s = sum(gens[i] for i in range(n) if f >> i & 1)
-        if s <= m and S.membership.contains(m - s):
-            faces.append(f)
-    complex_ = DivisorComplex(degree=m, nvars=n, faces=frozenset(faces))
-    if not complex_.is_downward_closed():
-        raise MonocurveError("divisor complex is not downward closed")
-    return complex_
-
-
-def reduced_homology_ranks(C: DivisorComplex) -> tuple[int, ...]:
-    """Ranks of reduced homology in dimensions -1..nvars-1, exactly over Q."""
-    if not C.is_downward_closed():
-        raise InvalidInputError("complex is not downward closed")
-    faceset = 0
-    for f in C.faces:
-        faceset |= 1 << f
-    return _reduced_ranks(C.nvars, faceset)
-
-
 def _check_candidates(S: SemigroupSpec):
     check_size(S.generators, S.generators[0] << (S.n - 1), "candidate degrees")
 
@@ -356,11 +290,7 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
     for pos in np.flatnonzero(interesting[inverse]):
         rows[int(degrees[pos])] = ranks_by_u[inverse[pos]]
 
-    twists = tuple(
-        tuple(m for m in rows for _ in range(rows[m][i]))
-        for i in range(n + 1)
-    )
-    table = GradedBettiTable(rows=rows, totals=tuple(totals), twists=twists)
+    table = GradedBettiTable(rows=rows, totals=tuple(totals))
 
     if bound >= provable:
         if table.totals[0] != 1 or rows.get(0, (0,))[0] != 1:
@@ -372,21 +302,6 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
         if table.totals[n] != 0:
             raise MonocurveError("projective dimension exceeds n-1")
     return table
-
-
-def skeleton_mu(S: SemigroupSpec, bound=None) -> int:
-    """Minimal generator count via 1-skeleton components, no homology matrices.
-
-    Independent of the boundary-matrix route: per degree the number of new
-    generators is (connected components of the divisor-complex skeleton) - 1.
-    """
-    if bound is None:
-        bound = default_bound(S)
-    _, faces, inverse, _ = degree_patterns(S, bound)
-    excess = np.array(
-        [max(len(_skeleton_components(S.n, u)) - 1, 0) for u in faces], dtype=np.int64
-    )
-    return int(np.sum(excess[inverse]))
 
 
 def disconnected_degrees(S: SemigroupSpec, bound=None):

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import betti
 from .errors import (DegenerateInputError, InternalBoundError,
                      InvalidInputError, MonocurveError)
@@ -159,14 +157,9 @@ def _mask_indices(mask):
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _emit_degree(m, reps):
-    """Connect the component of the canonical-least factorization to the rest."""
-    reps = sorted(reps, key=lambda f: canonical_key(f.exponents))
-    base = reps[0]
-    return [Binomial(plus=base, minus=other) for other in reps[1:]]
-
-
 def _skeleton_generators(S, bound):
+    """Per disconnected degree, join the component of the canonical-least
+    factorization to each of the others."""
     out = []
     for m, comps in betti.disconnected_degrees(S, bound):
         reps = []
@@ -175,7 +168,8 @@ def _skeleton_generators(S, bound):
             if rep is None:
                 raise MonocurveError(f"component of degree {m} has no factorization")
             reps.append(rep)
-        out.extend(_emit_degree(m, reps))
+        base, *others = sorted(reps, key=lambda f: canonical_key(f.exponents))
+        out.extend(Binomial(plus=base, minus=other) for other in others)
     return out
 
 
@@ -232,39 +226,14 @@ def _move_components(S, moves, m):
     return facts, index, find
 
 
-def _moves_connected(S, moves, m, start, target):
-    """True iff start and target factorizations of m are joined by the moves."""
-    _, index, find = _move_components(S, moves, m)
-    return find(index[start]) == find(index[target])
-
-
 def reduces_to_zero(S: SemigroupSpec, gens, binomial: Binomial) -> bool:
     """Membership of a homogeneous binomial in the ideal the set generates."""
     if not binomial.is_homogeneous():
         raise InvalidInputError("binomial is not homogeneous")
     if binomial.plus.exponents == binomial.minus.exponents:
         return True
-    return _moves_connected(S, gens, binomial.plus.degree,
-                            binomial.plus.exponents, binomial.minus.exponents)
-
-
-def verify_generates(S: SemigroupSpec, gens, bound=None) -> bool:
-    """Completeness: every kernel binomial of degree <= bound reduces to zero.
-
-    Equivalently, the moves of the generating set connect all factorizations
-    of every member degree up to the bound.
-    """
-    if bound is None:
-        bound = betti.default_bound(S)
-    members = S.membership.as_bool_array(bound)
-    for m in np.flatnonzero(members).tolist():
-        facts, _, find = _move_components(S, gens, m)
-        if len(facts) < 2:
-            continue
-        root = find(0)
-        if any(find(i) != root for i in range(1, len(facts))):
-            return False
-    return True
+    _, index, find = _move_components(S, gens, binomial.plus.degree)
+    return find(index[binomial.plus.exponents]) == find(index[binomial.minus.exponents])
 
 
 def ideal_equivalent(S: SemigroupSpec, gens_a, gens_b) -> bool:

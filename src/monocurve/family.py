@@ -1,6 +1,6 @@
 """Shifted families (j, a+j, a+b+j, a+b+c+j): scans over j, period detection,
 complete-intersection classification, and empirical checks of the structure
-theorems.
+theorems, the Herzog-Srinivasan 3-generator criterion and the published tables.
 
 Two indexing conventions coexist in this domain and both are supported. Scan
 rows are labeled so that row j holds the tuple (offset+j, a+offset+j, ...);
@@ -12,9 +12,12 @@ first entry of the tuple itself, never a row label.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
+from importlib.resources import files
 
 from .betti import graded_betti
 from .binomials import (Binomial, binomial_from_vector, ideal_equivalent,
@@ -59,14 +62,6 @@ class FamilySpec:
     def raw_tuple(self, j):
         s = self.offset + j
         return (s, self.a + s, self.a + self.b + s, self.a + self.b + self.c + s)
-
-
-def shift_sequence(F: FamilySpec, j) -> SemigroupSpec:
-    """Normalized member of the family at row label j (offset applied)."""
-    j = int(j)
-    if j < 1:
-        raise InvalidInputError("shift index must be at least 1")
-    return normalize(F.raw_tuple(j))
 
 
 @dataclass(frozen=True)
@@ -187,11 +182,19 @@ def is_complete_intersection(S: SemigroupSpec) -> bool:
     """
     if S.n != 4:
         raise InvalidInputError("complete-intersection test expects 4 generators")
-    _, mu = minimal_generators(S)
+    return _mu_checked(S)[1] == 3
+
+
+def _mu_checked(S: SemigroupSpec):
+    gens, mu = minimal_generators(S)
     b1 = graded_betti(S).mu
     if mu != b1:
         raise MonocurveError(f"mu={mu} disagrees with first Betti number {b1}")
-    return mu == 3
+    return gens, mu
+
+
+def _hs3_min_q(a, b):
+    return max(a * b + b * b, a * b + a * a)
 
 
 def ci_check_3gen(q, a, b) -> bool:
@@ -210,7 +213,7 @@ def ci_check_3gen(q, a, b) -> bool:
         # d > 1 its arithmetic answers for the unreduced tuple and disagrees
         # with the ideal of the reduced one (e.g. q,a,b = 60,3,6)
         raise InvalidInputError("gcd(q, a, b) must be 1")
-    if q < max(a * b + b * b, a * b + a * a):
+    if q < _hs3_min_q(a, b):
         raise OutOfRangeError(
             f"q={q} below max(ab+b^2, ab+a^2); the criterion makes no claim")
     x = math.gcd(q, a + b)
@@ -223,6 +226,48 @@ def ci_check_3gen(q, a, b) -> bool:
     if math.gcd(a, b) == 1 and result != (q % (a + b) == 0):
         raise MonocurveError("general criterion disagrees with the coprime special case")
     return result
+
+
+def hs3_agree(q, a, b):
+    """(criterion's CI answer, pipeline mu, whether they agree) for ⟨q, q+a, q+a+b⟩,
+    which is a complete intersection iff mu = 2."""
+    lemma = ci_check_3gen(q, a, b)
+    mu = graded_betti(normalize((q, q + a, q + a + b))).mu
+    return lemma, mu, lemma == (mu == 2)
+
+
+def hs3_sweep(q_max, ab_max):
+    """(triples checked, disagreements) of :func:`hs3_agree` over coprime a, b
+    with a + b <= ab_max and every q from the criterion's threshold to q_max;
+    each disagreement is a dict with keys q, a, b, lemma_ci and mu."""
+    checked = 0
+    bad = []
+    for s in range(2, ab_max + 1):
+        for a in range(1, s):
+            b = s - a
+            if math.gcd(a, b) != 1:
+                continue
+            for q in range(_hs3_min_q(a, b), q_max + 1):
+                lemma, mu, agree = hs3_agree(q, a, b)
+                checked += 1
+                if not agree:
+                    bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": mu})
+    return checked, bad
+
+
+def _require_theorem_hypotheses(F: FamilySpec):
+    """Theorems A and B need a structure flag and, found by computation rather
+    than stated in ``PAPER.md``, gcd(a,b,c) = 1: theorem B fails for (3,3,6),
+    where every j = 4, 8 (mod 12) is a complete intersection."""
+    if F.p_c is None and F.p_a is None:
+        raise HypothesisNotMetError(
+            f"({F.a},{F.b},{F.c}) has neither c = p(a+b) nor a = p(b+c); "
+            "the statement does not apply")
+    d = math.gcd(F.a, F.b, F.c)
+    if d != 1:
+        raise HypothesisNotMetError(
+            f"({F.a},{F.b},{F.c}) has gcd(a,b,c) = {d}; the statements are "
+            "checked only for gcd(a,b,c) = 1")
 
 
 @dataclass(frozen=True)
@@ -261,14 +306,12 @@ def _tb_row(args) -> TheoremBRow:
 def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
     """Compare CI status against (a+b+c) | j across a range of true shifts.
 
-    Here j is the leading generator itself. Requires a structure flag and
-    j_min >= (a+b+c)^3, the theorem's threshold; the report asserts nothing
-    beyond the tested range and lists any counterexample verbatim.
+    Here j is the leading generator itself. Requires the hypotheses of
+    :func:`_require_theorem_hypotheses` and j_min >= (a+b+c)^3, the theorem's
+    threshold; the report asserts nothing beyond the tested range and lists
+    any counterexample verbatim.
     """
-    if F.p_c is None and F.p_a is None:
-        raise HypothesisNotMetError(
-            f"({F.a},{F.b},{F.c}) has neither c = p(a+b) nor a = p(b+c); "
-            "the statement does not apply")
+    _require_theorem_hypotheses(F)
     j_min, j_max = int(j_min), int(j_max)
     cube = F.period ** 3
     if j_min < cube:
@@ -326,14 +369,6 @@ def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
     return out
 
 
-def _mu_checked(S: SemigroupSpec):
-    gens, mu = minimal_generators(S)
-    b1 = graded_betti(S).mu
-    if mu != b1:
-        raise MonocurveError(f"mu={mu} disagrees with first Betti number {b1}")
-    return gens, mu
-
-
 def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     """Spot-check the claimed mu values along the structured subfamilies.
 
@@ -347,12 +382,10 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     theorem A's threshold. This function checks them from n = 1 with no
     threshold, so correct small shifts that break the pattern are listed as
     counterexamples rather than hidden, e.g. (12,3,1) at j = 24 and j = 36,
-    which are complete intersections with mu = 3.
+    which are complete intersections with mu = 3. Triples with
+    gcd(a,b,c) > 1 are refused, as in :func:`verify_theorem_b`.
     """
-    if F.p_c is None and F.p_a is None:
-        raise HypothesisNotMetError(
-            f"({F.a},{F.b},{F.c}) has neither c = p(a+b) nor a = p(b+c); "
-            "the statement does not apply")
+    _require_theorem_hypotheses(F)
     n_max = int(n_max)
     if n_max < 1:
         raise InvalidInputError("n_max must be at least 1")
@@ -392,3 +425,47 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
 
     bad = [r for r in rows if not r.agrees]
     return TheoremAReport(family=F, n_max=n_max, rows=rows, counterexamples=bad)
+
+
+# example id -> (family triple, first row, last row); rows are labeled with
+# the offset-1 convention, under which the tables were published
+_EXAMPLES = {
+    1: ((2, 3, 5), 22, 51),
+    2: ((12, 3, 1), 65, 112),
+    3: ((3, 5, 2), 32, 61),
+}
+
+
+@dataclass
+class TableCheck:
+    example: int
+    family: FamilySpec
+    expected: dict[int, tuple[int, ...]]
+    computed: dict[int, tuple[int, ...]]
+    mismatches: list[tuple[int, tuple[int, ...], tuple[int, ...]]]
+
+    @property
+    def passed(self):
+        return not self.mismatches
+
+
+def load_expected_table(example: int) -> dict[int, tuple[int, ...]]:
+    text = files("monocurve").joinpath("data", f"table{example}.csv").read_text()
+    rows = {}
+    for record in csv.DictReader(io.StringIO(text)):
+        rows[int(record["j"])] = tuple(int(record[f"b{i}"]) for i in range(5))
+    return rows
+
+
+def reproduce_table(example: int, jobs: int = 1) -> TableCheck:
+    """Scan the documented range and diff against the embedded golden rows."""
+    if example not in _EXAMPLES:
+        raise MonocurveError(f"unknown example: {example}")
+    abc, j_min, j_max = _EXAMPLES[example]
+    expected = load_expected_table(example)
+    F = FamilySpec(*abc, offset=1)
+    computed = {r.j: r.totals for r in scan(F, j_min, j_max, jobs=jobs).rows}
+    mismatches = [(j, expected[j], computed[j])
+                  for j in sorted(expected) if expected[j] != computed[j]]
+    return TableCheck(example=example, family=F, expected=expected,
+                      computed=computed, mismatches=mismatches)

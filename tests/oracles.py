@@ -12,14 +12,29 @@ with ranks by ``integer_matrix_rank`` (checked against ``fraction_rank``).
 degree from ``factorizations`` (checked against ``brute_factorizations``) and
 returns package ``Binomial`` objects, so its output compares with
 ``minimal_generators`` as is.
+
+The rest is API that only tests call, kept on the package's own routes:
+divisor complexes of single degrees (``divisor_complex``, ``face``) and their
+ranks (``reduced_homology_ranks``, through the package's rank route), mu from
+1-skeleton components alone (``skeleton_mu``, independent of the ranks),
+completeness of a binomial set (``verify_generates``), and the family member
+at a row label (``shift_sequence``).
 """
 
 import functools
+from dataclasses import dataclass
 from fractions import Fraction
 
-from monocurve.betti import default_bound, integer_matrix_rank
-from monocurve.binomials import Binomial
-from monocurve.semigroup import canonical_key, factorizations
+import numpy as np
+
+from monocurve.betti import (_reduced_ranks, _skeleton_components,
+                             default_bound, degree_patterns,
+                             integer_matrix_rank)
+from monocurve.binomials import Binomial, _move_components
+from monocurve.errors import InvalidInputError, MonocurveError
+from monocurve.family import FamilySpec
+from monocurve.semigroup import (SemigroupSpec, canonical_key, factorizations,
+                                 normalize)
 
 
 def brute_members(gens, bound):
@@ -199,3 +214,97 @@ def enumerate_generators(S, bound=None):
                       key=lambda f: canonical_key(f.exponents))
         out.extend(Binomial(plus=reps[0], minus=other) for other in reps[1:])
     return out, len(out)
+
+
+def face(*variables):
+    """Bitmask for a face given 1-based variable numbers: face(1, 4) -> 0b1001."""
+    return sum(1 << (v - 1) for v in variables)
+
+
+@dataclass(frozen=True)
+class DivisorComplex:
+    """Squarefree divisor complex of one degree, faces as variable bitmasks."""
+
+    degree: int
+    nvars: int
+    faces: frozenset[int]
+
+    def is_downward_closed(self):
+        for f in self.faces:
+            g = f
+            while g:
+                v = g & -g
+                if f ^ v not in self.faces:
+                    return False
+                g ^= v
+        return True
+
+
+def divisor_complex(S: SemigroupSpec, m) -> DivisorComplex:
+    """Faces F with m - sum(a_i, i in F) in S; downward closure is verified."""
+    m = int(m)
+    if m < 0:
+        raise InvalidInputError("degree must be nonnegative")
+    n = S.n
+    gens = S.generators
+    faces = []
+    for f in range(1 << n):
+        s = sum(gens[i] for i in range(n) if f >> i & 1)
+        if s <= m and S.membership.contains(m - s):
+            faces.append(f)
+    complex_ = DivisorComplex(degree=m, nvars=n, faces=frozenset(faces))
+    if not complex_.is_downward_closed():
+        raise MonocurveError("divisor complex is not downward closed")
+    return complex_
+
+
+def reduced_homology_ranks(C: DivisorComplex) -> tuple[int, ...]:
+    """Ranks of reduced homology in dimensions -1..nvars-1, exactly over Q."""
+    if not C.is_downward_closed():
+        raise InvalidInputError("complex is not downward closed")
+    faceset = 0
+    for f in C.faces:
+        faceset |= 1 << f
+    return _reduced_ranks(C.nvars, faceset)
+
+
+def skeleton_mu(S: SemigroupSpec, bound=None) -> int:
+    """Minimal generator count via 1-skeleton components, no homology matrices.
+
+    Independent of the boundary-matrix route: per degree the number of new
+    generators is (connected components of the divisor-complex skeleton) - 1.
+    """
+    if bound is None:
+        bound = default_bound(S)
+    _, faces, inverse, _ = degree_patterns(S, bound)
+    excess = np.array(
+        [max(len(_skeleton_components(S.n, u)) - 1, 0) for u in faces], dtype=np.int64
+    )
+    return int(np.sum(excess[inverse]))
+
+
+def verify_generates(S: SemigroupSpec, gens, bound=None) -> bool:
+    """Completeness: every kernel binomial of degree <= bound reduces to zero.
+
+    Equivalently, the moves of the generating set connect all factorizations
+    of every member degree up to the bound.
+    """
+    if bound is None:
+        bound = default_bound(S)
+    members = S.membership.as_bool_array(bound)
+    for m in np.flatnonzero(members).tolist():
+        facts, _, find = _move_components(S, gens, m)
+        if len(facts) < 2:
+            continue
+        root = find(0)
+        if any(find(i) != root for i in range(1, len(facts))):
+            return False
+    return True
+
+
+def shift_sequence(F: FamilySpec, j) -> SemigroupSpec:
+    """Normalized member of the family at row label j (offset applied)."""
+    j = int(j)
+    if j < 1:
+        raise InvalidInputError("shift index must be at least 1")
+    return normalize(F.raw_tuple(j))

@@ -10,16 +10,16 @@ import math
 import random
 import time
 
-from monocurve.betti import default_bound, divisor_complex, graded_betti
+from monocurve.betti import default_bound, graded_betti
 from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
-                                 kernel_member, minimal_generators,
-                                 verify_generates)
-from monocurve.cli import reproduce_table, run as cli_run
-from monocurve.family import (FamilySpec, ci_check_3gen, verify_theorem_a,
-                              verify_theorem_b)
+                                 kernel_member, minimal_generators)
+from monocurve.cli import run as cli_run
+from monocurve.family import (FamilySpec, ci_check_3gen, reproduce_table,
+                              verify_theorem_a, verify_theorem_b)
 from monocurve.semigroup import normalize
 
-from oracles import brute_mu, enumerate_generators
+from oracles import (brute_mu, divisor_complex, enumerate_generators,
+                     verify_generates)
 
 KOSZUL = (1, 3, 3, 1, 0)
 

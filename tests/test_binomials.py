@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from monocurve.binomials import (binomial_from_vector, critical_exponent,
                                  full_critical_set, ideal_equivalent,
                                  kernel_member, minimal_generators,
-                                 reduces_to_zero, verify_generates)
+                                 reduces_to_zero)
 from monocurve.errors import DegenerateInputError, InvalidInputError
 from monocurve.semigroup import factorizations, normalize
 
-from oracles import brute_generator_degrees, brute_mu, enumerate_generators
+from oracles import (brute_generator_degrees, brute_mu, enumerate_generators,
+                     verify_generates)
 
 
 def test_kernel_member_examples():

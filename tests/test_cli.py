@@ -1,5 +1,8 @@
+import argparse
 import concurrent.futures
 import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -11,7 +14,7 @@ import jsonschema
 import pytest
 from importlib.resources import files
 
-from monocurve import cli
+from monocurve import cli, family
 from monocurve.family import worker_count
 
 
@@ -123,7 +126,7 @@ def test_jobs_do_not_change_bytes(monkeypatch):
 
 # Runs one command in a fresh interpreter, then prints as its last line the
 # exit code, whether the command wrote a result, and which of the given
-# modules it left loaded. argparse writes --help to sys.stdout directly.
+# modules it left loaded.
 _LOADED_AFTER = """
 import io, json, sys
 from monocurve import cli
@@ -148,7 +151,7 @@ def test_default_commands_load_no_pool_or_diff_modules():
                               capture_output=True, text=True, check=True)
         code, wrote, loaded = json.loads(done.stdout.splitlines()[-1])
         assert code == 0, argv
-        assert wrote or argv == ["--help"], argv
+        assert wrote, argv
         assert loaded == [], (argv, loaded)
 
 
@@ -171,9 +174,9 @@ def test_table_examples_pass():
 
 
 def test_table_mismatch_exits_2(monkeypatch):
-    fake = cli.load_expected_table(1)
+    fake = family.load_expected_table(1)
     fake[29] = (1, 9, 9, 9, 0)
-    monkeypatch.setattr(cli, "load_expected_table", lambda example: fake)
+    monkeypatch.setattr(family, "load_expected_table", lambda example: fake)
     code, out, _ = run_cli(["table", "--example", "1"])
     assert code == 2
     assert "FAIL" in out and "-j=29 -> (1, 9, 9, 9, 0)" in out
@@ -223,6 +226,28 @@ def test_help_exits_0():
     assert run_cli(["verify", "theorem-b", "--help"])[0] == 0
 
 
+def test_help_and_usage_errors_use_the_given_streams(capsys):
+    code, out, err = run_cli(["--help"])
+    assert code == 0 and out.startswith("usage: monocurve") and err == ""
+    code, out, err = run_cli(["verify", "theorem-b", "--help"])
+    assert code == 0 and "--abc" in out and err == ""
+    code, out, err = run_cli(["betti"])
+    assert code == 1 and out == ""
+    assert err.startswith("usage: monocurve betti") and "error:" in err
+    code, out, err = run_cli(["nonsense"])
+    assert code == 1 and out == "" and "invalid choice" in err
+    # nothing reached the process's own streams
+    assert capsys.readouterr() == ("", "")
+
+
+def test_theorem_checks_refuse_triples_with_common_factor():
+    for argv in (["verify", "theorem-b", "--abc", "3,3,6", "--from", "1728", "--to", "1771"],
+                 ["verify", "theorem-a", "--abc", "3,3,6", "--n-max", "2"]):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert "(3,3,6) has gcd(a,b,c) = 3" in err
+
+
 def test_invalid_generators_exit_1():
     code, _, err = run_cli(["betti", "--gens", "0,3"])
     assert code == 1
@@ -242,6 +267,47 @@ def test_diagnostics_on_stderr_only():
     assert "elapsed_ms" not in out
 
 
+def _traced_cli():
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _command_names(parser, prefix=""):
+    names = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                names += _command_names(sub, f"{prefix}{name} ")
+    return names or [prefix.strip()]
+
+
+def test_tracer_bindings_exist():
+    # the per-layer tracer wraps these names in place and skips any that are
+    # gone, so a rename would silently zero its figures
+    for module_name, attr, _ in _traced_cli().LAYER_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            (module_name, attr)
+    assert sorted(_command_names(cli.build_parser())) == sorted(cli._DISPATCH)
+
+
+def test_theorem_b_rows_call_is_complete_intersection_through_family(monkeypatch):
+    calls = []
+    original = family.is_complete_intersection
+
+    def counted(S):
+        calls.append(S.generators)
+        return original(S)
+
+    monkeypatch.setattr(family, "is_complete_intersection", counted)
+    code, out, _ = run_cli(["verify", "theorem-b", "--abc", "2,3,5", "--from", "1000",
+                            "--to", "1005", "--format", "json", "--jobs", "1"])
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["payload"]["rows"]) == 6
+
+
 def test_bound_override():
     code, out, _ = run_cli(["betti", "--gens", "30,32,35,40", "--format", "json",
                             "--bound-override", "150"])
@@ -249,8 +315,8 @@ def test_bound_override():
     assert set(rows) == {"0", "70", "120"}
 
 
-# sha256 of stdout and the exit code of every report, in every format, as
-# rendered before the single render path; any byte of difference fails
+# exit code and sha256 of stdout of every report in every format; a change
+# to how reports are rendered must not move a byte
 GOLDEN_RENDERS = {
     "betti --gens 30,32,35,40": {
         "pretty": (0, "1320a8319f1d85f8f2653c1aaeb65cea31f85ce495a3799cde4999488380dd64"),

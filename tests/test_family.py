@@ -3,15 +3,17 @@ import os
 
 import pytest
 
+from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
+                                 kernel_member, minimal_generators)
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               ci_check_3gen, detect_period,
-                              is_complete_intersection, scan, shift_sequence,
+                              is_complete_intersection, scan,
                               verify_theorem_a, verify_theorem_b, worker_count)
 from monocurve.semigroup import normalize
 
-from oracles import brute_mu
+from oracles import brute_mu, shift_sequence
 
 
 def test_structure_flags():
@@ -262,3 +264,34 @@ def test_verify_theorem_a_guards():
         verify_theorem_a(FamilySpec(3, 5, 2), n_max=2)
     with pytest.raises(InvalidInputError):
         verify_theorem_a(FamilySpec(2, 3, 5), n_max=0)
+
+
+def test_theorem_b_fails_on_flagged_triple_with_common_factor():
+    # (3,3,6) is flagged (c = a+b) but gcd(a,b,c) = 3. Read without the
+    # theorem gate, ⟨j, j+3, j+6, j+12⟩ is a complete intersection exactly
+    # when 4 | j, not when 12 | j, at and above the (a+b+c)^3 threshold
+    for j in range(1728, 1772):
+        S = normalize((j, j + 3, j + 6, j + 12))
+        assert is_complete_intersection(S) == (j % 4 == 0), j
+    # and below it: mu = 3 by brute force although 12 does not divide j. With
+    # j = 4m the ideal is cut out by x2^2 - x1*x3 (2(j+3) = j + (j+6)),
+    # x3^2 - x1*x4 (2(j+6) = j + (j+12)) and x1^(m+3) - x4^m
+    # ((m+3)j = m(j+12) = 4m(m+3))
+    for j in (16, 20):
+        raw = (j, j + 3, j + 6, j + 12)
+        assert brute_mu(raw) == 3, j
+        S = normalize(raw)
+        m = j // 4
+        vectors = [(-1, 2, -1, 0), (-1, 0, 2, -1), (m + 3, 0, 0, -m)]
+        assert all(kernel_member(S, v, shifted=(3, 3, 6, j)) for v in vectors)
+        explicit = [binomial_from_vector(v, S.generators) for v in vectors]
+        assert ideal_equivalent(S, minimal_generators(S)[0], explicit), j
+
+
+@pytest.mark.parametrize("abc", [(3, 3, 6), (6, 3, 3), (2, 4, 12)])
+def test_theorem_checks_refuse_triples_with_common_factor(abc):
+    F = FamilySpec(*abc)
+    with pytest.raises(HypothesisNotMetError, match=r"gcd\(a,b,c\) = \d"):
+        verify_theorem_b(F, F.period ** 3, F.period ** 3 + 1)
+    with pytest.raises(HypothesisNotMetError, match=r"gcd\(a,b,c\) = \d"):
+        verify_theorem_a(F, n_max=1)
