@@ -1,7 +1,7 @@
 """Exact Betti tables and complete-intersection scans for shifted
 numerical semigroup families."""
 
-from .betti import GradedBettiTable, default_bound, graded_betti
+from .betti import GradedBettiTable, betti_tables, default_bound, graded_betti
 from .binomials import (Binomial, CriticalWitness, binomial_from_vector,
                         critical_exponent, full_critical_set, ideal_equivalent,
                         kernel_member, minimal_generators, reduces_to_zero)

@@ -28,6 +28,17 @@ face); a whole complex on n vertices is one integer with 2**n face bits.
 The complexes of all candidate degrees are built together as rows of
 ceil(2**n / 64) uint64 words, deduplicated by row, and homology ranks are
 memoized per face-set integer.
+
+Many small semigroups with the same n (a scan, a theorem check, the hs3
+sweep) are evaluated as one batch per run of :func:`batches`, so numpy's
+per-call cost is paid per batch rather than per semigroup. Their Apéry
+tables are concatenated with an offset each; the candidates carry their
+semigroup's index in the int64 sort key index * span + degree; membership
+is tested a block of rows at a time over the whole batch; the face words
+are deduplicated once for the batch and each distinct complex is ranked and
+cross-checked once. Each semigroup's slice is cached on it as its patterns
+and its table, and the per-table checks stay per semigroup. A single
+semigroup is a batch of one, through the same code.
 """
 
 from __future__ import annotations
@@ -37,11 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MonocurveError, MustNormalizeError
+from .errors import InvalidInputError, MonocurveError, MustNormalizeError
 from .semigroup import SemigroupSpec, check_size, frobenius
 
-# degree x face cells tested in one membership pass of degree_patterns
-_BLOCK_CELLS = 1 << 12
+# candidate cells (a1 * 2**(n-1), summed over the semigroups) of one pass
+_CHUNK_CELLS = 1 << 14
+# degree x face cells tested in one membership step of a pass
+_BLOCK_CELLS = 1 << 14
 
 _RANKS_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
 _COMPONENTS_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -182,8 +195,12 @@ def _skeleton_components(nvars, faceset) -> tuple[int, ...]:
     return comps
 
 
+def _candidate_cells(S: SemigroupSpec):
+    return S.generators[0] << (S.n - 1)
+
+
 def _check_candidates(S: SemigroupSpec):
-    check_size(S.generators, S.generators[0] << (S.n - 1), "candidate degrees")
+    check_size(S.generators, _candidate_cells(S), "candidate degrees")
 
 
 def default_bound(S: SemigroupSpec) -> int:
@@ -192,21 +209,107 @@ def default_bound(S: SemigroupSpec) -> int:
     return frobenius(S) + sum(S.generators)
 
 
-def _unique_rows(words):
-    """(distinct rows, inverse index, counts) of a 2-D array.
+def batches(specs):
+    """Consecutive runs of ``specs``, in order, each evaluated in one pass.
 
-    Rows come out in np.lexsort order of the columns, so a single column is
-    ascending. np.unique(axis=0) gives the same, but maps more of numpy's
-    sorting code: about 0.5 MB more peak RSS in a fresh process.
+    A run closes before its candidate cells would pass ``_CHUNK_CELLS`` (a
+    larger semigroup runs alone), which keeps the arrays of a pass small, and
+    before its sort keys could reach 2**62: a semigroup's candidates lie below
+    a1 * 2**(n-1) * an (an Apéry element is a sum of at most a1 - 1
+    generators), and a key is index * span + degree.
     """
-    order = np.lexsort(words.T)
+    chunk, cells, reach = [], 0, 0
+    for S in specs:
+        c = _candidate_cells(S)
+        r = max(reach, c * S.generators[-1])
+        if chunk and (cells + c > _CHUNK_CELLS or (len(chunk) + 1) * r >= 1 << 62):
+            yield chunk
+            chunk, cells, r = [], 0, c * S.generators[-1]
+        chunk.append(S)
+        cells += c
+        reach = r
+    if chunk:
+        yield chunk
+
+
+@functools.cache
+def _face_bits(n):
+    """(2**n, n) 0/1 matrix: row f holds the variables of face f."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+
+
+def _pattern_pass(specs, bounds):
+    """Candidate degrees and their complexes for semigroups with the same n.
+
+    Returns (owner, degrees, faces, inverse): the distinct candidate degrees
+    up to each semigroup's bound, ordered by (semigroup index ``owner``,
+    degree), the batch's distinct face-set integers, and the index into
+    ``faces`` of each degree's complex. Each semigroup's slice is cached as
+    its ("patterns", bound) entry, in the shape :func:`degree_patterns`
+    returns.
+    """
+    n = specs[0].n
+    nfaces = 1 << n
+    tables = [S.membership for S in specs]
+    if any(t.content != 1 for t in tables):
+        raise MustNormalizeError("Betti degrees require coprime generators")
+    sums = np.array([S.generators for S in specs], dtype=np.int64) @ _face_bits(n).T
+    moduli = np.array([t.modulus for t in tables], dtype=np.int64)
+    base = np.zeros(len(specs), dtype=np.int64)
+    np.cumsum(moduli[:-1], out=base[1:])
+    ap = np.concatenate([t.ap for t in tables])
+    ap_owner = np.repeat(np.arange(len(specs)), moduli)
+    # even face masks are the subsets of {2..n}
+    cand = ap[:, None] + sums[ap_owner, 0::2]
+    span = int(cand.max()) + 1
+    limit = np.array([min(max(int(b), -1), span) for b in bounds], dtype=np.int64)
+    keys = np.sort((cand + (ap_owner * span)[:, None])[cand <= limit[ap_owner, None]])
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    owner = keys // span
+    degrees = keys - owner * span
+
+    # degrees are tested a block of rows at a time, all faces together; F and
+    # F ∪ {1} share a residue mod a1, so one Apéry lookup decides both
+    nwords = (nfaces + 63) // 64
+    packed = np.zeros((len(degrees), 8 * nwords), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS >> n)
+    member = np.empty((step, nfaces), dtype=bool)
+    for lo in range(0, len(degrees), step):
+        rows = owner[lo:lo + step]
+        x = degrees[lo:lo + step, None] - sums[rows, 0::2]
+        least = ap[base[rows, None] + x % moduli[rows, None]]
+        part = member[:len(rows)]
+        np.greater_equal(x, least, out=part[:, 0::2])
+        np.greater_equal(x, least + moduli[rows, None], out=part[:, 1::2])
+        packed[lo:lo + step, :-(-nfaces // 8)] = np.packbits(part, axis=1, bitorder="little")
+    words = packed.view("<u8")
+    order = np.argsort(words[:, 0]) if nwords == 1 else np.lexsort(words.T)
     ordered = words[order]
     first = np.ones(len(ordered), dtype=bool)
     first[1:] = np.bitwise_or.reduce(ordered[1:] ^ ordered[:-1], axis=1) != 0
     inverse = np.empty(len(ordered), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    counts = np.diff(np.append(np.flatnonzero(first), len(ordered)))
-    return ordered[first], inverse, counts
+    faces = [sum(w << (64 * i) for i, w in enumerate(row)) for row in ordered[first].tolist()]
+
+    # per semigroup: its distinct complexes in batch order, with counts
+    distinct, local, counts = np.unique(owner * len(faces) + inverse,
+                                        return_inverse=True, return_counts=True)
+    face_owner = distinct // max(len(faces), 1)
+    face_ids = distinct - face_owner * len(faces)
+    owners = np.arange(len(specs) + 1)
+    starts = np.searchsorted(owner, owners).tolist()
+    face_starts = np.searchsorted(face_owner, owners)
+    local -= face_starts[owner]
+    face_starts = face_starts.tolist()
+    for i, (S, bound) in enumerate(zip(specs, bounds)):
+        lo, hi = starts[i], starts[i + 1]
+        flo, fhi = face_starts[i], face_starts[i + 1]
+        S._cache[("patterns", bound)] = (
+            degrees[lo:hi], [faces[u] for u in face_ids[flo:fhi].tolist()], local[lo:hi],
+            counts[flo:fhi])
+    return owner, degrees, faces, inverse, (face_owner, face_ids, counts)
 
 
 def degree_patterns(S: SemigroupSpec, bound):
@@ -216,41 +319,83 @@ def degree_patterns(S: SemigroupSpec, bound):
     degree has zero Betti numbers (module docstring). ``degrees`` ascends,
     degree ``degrees[k]`` has the face-set integer ``faces[inverse[k]]``, and
     ``counts[u]`` degrees share ``faces[u]``. Computed once per semigroup and
-    bound.
+    bound, as a batch of one unless a batch already cached it.
     """
-    cached = S._cache.get(("patterns", bound))
-    if cached is not None:
-        return cached
-    _check_candidates(S)
-    n = S.n
-    gens = S.generators
-    table = S.membership
-    if table.content != 1:
-        raise MustNormalizeError("Betti degrees require coprime generators")
-    nfaces = 1 << n
-    sums = np.array([sum(a for i, a in enumerate(gens) if f >> i & 1) for f in range(nfaces)],
-                    dtype=np.int64)
-    # even face masks are the subsets of {2..n}
-    cand = (table.ap[:, None] + sums[None, 0::2]).ravel()
-    degrees = _unique_rows(cand[cand <= bound, None])[0][:, 0]
-    # faces are tested a block at a time; a block never straddles a word
-    block = min(64, nfaces, max(1, _BLOCK_CELLS // max(len(degrees), 1)))
-    block = 1 << (block.bit_length() - 1)
-    shifts = (np.arange(nfaces) % 64).astype(np.uint64)
-    words = np.zeros((len(degrees), (nfaces + 63) // 64), dtype=np.uint64)
-    for f in range(0, nfaces, block):
-        member = table.member_mask(degrees[:, None] - sums[f:f + block])
-        words[:, f // 64] |= np.bitwise_or.reduce(
-            member.astype(np.uint64) << shifts[f:f + block], axis=1)
-    rows, inverse, counts = _unique_rows(words)
-    faces = [sum(w << (64 * i) for i, w in enumerate(row)) for row in rows.tolist()]
-    result = (degrees, faces, inverse, counts)
-    S._cache[("patterns", bound)] = result
-    return result
+    key = ("patterns", bound)
+    if key not in S._cache:
+        _check_candidates(S)
+        _pattern_pass([S], [bound])
+    return S._cache[key]
 
 
 def _vertex_count(nvars, faceset):
     return sum(1 for i in range(nvars) if faceset >> (1 << i) & 1)
+
+
+def _table_pass(specs, bounds, provable):
+    """Tables of one batch, cached on each semigroup as ("table", bound)."""
+    n = specs[0].n
+    owner, degrees, faces, inverse, (face_owner, face_ids, counts) = \
+        _pattern_pass(specs, bounds)
+    ranks_by_u = []
+    for index, u in enumerate(faces):
+        try:
+            ranks = _reduced_ranks(n, u)
+            if _vertex_count(n, u) >= 1 and ranks[1] != len(_skeleton_components(n, u)) - 1:
+                raise MonocurveError("homology rank and skeleton components disagree")
+        except MonocurveError as err:
+            k = int(np.argmax(inverse == index))
+            raise MonocurveError(f"generators {specs[owner[k]].generators}, "
+                                 f"degree {int(degrees[k])}: {err}") from err
+        ranks_by_u.append(ranks)
+
+    ranks = np.array(ranks_by_u, dtype=np.int64).reshape(len(faces), n + 1)
+    totals = np.zeros((len(specs), n + 1), dtype=np.int64)
+    np.add.at(totals, face_owner, ranks[face_ids] * counts[:, None])
+    rows: list[dict[int, tuple[int, ...]]] = [{} for _ in specs]
+    hit = np.flatnonzero(ranks.any(axis=1)[inverse])
+    for i, m, u in zip(owner[hit].tolist(), degrees[hit].tolist(), inverse[hit].tolist()):
+        rows[i][m] = ranks_by_u[u]
+
+    for S, bound, top, r, t in zip(specs, bounds, provable, rows, totals.tolist()):
+        table = GradedBettiTable(rows=r, totals=tuple(t))
+        if bound >= top:
+            where = f"generators {S.generators}: "
+            if t[0] != 1 or r.get(0, (0,))[0] != 1:
+                raise MonocurveError(where + "degree-0 Betti number must be exactly 1")
+            if any(b[0] for m, b in r.items() if m != 0):
+                raise MonocurveError(where + "beta_0 supported away from degree 0")
+            if sum((-1) ** i * b for i, b in enumerate(t)) != 0:
+                raise MonocurveError(where + "alternating sum of Betti totals is nonzero")
+            if t[n] != 0:
+                raise MonocurveError(where + "projective dimension exceeds n-1")
+        S._cache[("table", bound)] = table
+
+
+def betti_tables(specs, bound=None) -> list[GradedBettiTable]:
+    """:func:`graded_betti` of each semigroup, with one pass per batch.
+
+    All semigroups need the same number of generators. Every one is checked
+    against ``MAX_CELLS`` before any Apéry table is built; then each run of
+    :func:`batches` stacks its candidates, tests membership, deduplicates
+    complexes and ranks each distinct complex once. Tables and patterns are
+    cached on each semigroup, so later calls for the same bound are lookups.
+    """
+    specs = list(specs)
+    if len({S.n for S in specs}) > 1:
+        raise InvalidInputError("a batch needs semigroups with the same number of generators")
+    for S in specs:
+        _check_candidates(S)
+    out = []
+    for chunk in batches(specs):
+        provable = [default_bound(S) for S in chunk]
+        bounds = provable if bound is None else [bound] * len(chunk)
+        todo = [k for k, (S, b) in enumerate(zip(chunk, bounds)) if ("table", b) not in S._cache]
+        if todo:
+            _table_pass([chunk[k] for k in todo], [bounds[k] for k in todo],
+                        [provable[k] for k in todo])
+        out.extend(S._cache[("table", b)] for S, b in zip(chunk, bounds))
+    return out
 
 
 def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
@@ -261,47 +406,9 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
     The homology rank in dimension 0 is cross-checked against the component
     count of the whole 1-skeleton for every distinct complex encountered; a
     failed per-complex check names the generators, a degree that carries the
-    complex, and the check.
+    complex, and the check. A batch of one of :func:`betti_tables`.
     """
-    n = S.n
-    provable = default_bound(S)
-    if bound is None:
-        bound = provable
-    degrees, faces, inverse, counts = degree_patterns(S, bound)
-
-    ranks_by_u = []
-    for index, u in enumerate(faces):
-        try:
-            ranks = _reduced_ranks(n, u)
-            if _vertex_count(n, u) >= 1 and ranks[1] != len(_skeleton_components(n, u)) - 1:
-                raise MonocurveError("homology rank and skeleton components disagree")
-        except MonocurveError as err:
-            m = int(degrees[np.argmax(inverse == index)])
-            raise MonocurveError(f"generators {S.generators}, degree {m}: {err}") from err
-        ranks_by_u.append(ranks)
-
-    totals = [0] * (n + 1)
-    for ranks, c in zip(ranks_by_u, counts):
-        for i, r in enumerate(ranks):
-            totals[i] += r * int(c)
-
-    interesting = np.array([any(r) for r in ranks_by_u], dtype=bool)
-    rows: dict[int, tuple[int, ...]] = {}
-    for pos in np.flatnonzero(interesting[inverse]):
-        rows[int(degrees[pos])] = ranks_by_u[inverse[pos]]
-
-    table = GradedBettiTable(rows=rows, totals=tuple(totals))
-
-    if bound >= provable:
-        if table.totals[0] != 1 or rows.get(0, (0,))[0] != 1:
-            raise MonocurveError("degree-0 Betti number must be exactly 1")
-        if any(r[0] for m, r in rows.items() if m != 0):
-            raise MonocurveError("beta_0 supported away from degree 0")
-        if sum((-1) ** i * b for i, b in enumerate(table.totals)) != 0:
-            raise MonocurveError("alternating sum of Betti totals is nonzero")
-        if table.totals[n] != 0:
-            raise MonocurveError("projective dimension exceeds n-1")
-    return table
+    return betti_tables([S], bound)[0]
 
 
 def disconnected_degrees(S: SemigroupSpec, bound=None):

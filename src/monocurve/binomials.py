@@ -54,28 +54,12 @@ class Binomial:
         }
 
 
-def kernel_member(S: SemigroupSpec, v, shifted=None) -> bool:
-    """True iff v is orthogonal to the generators.
-
-    When ``shifted=(a, b, c, j)`` is supplied the generators must be the
-    shifted family (j, a+j, a+b+j, a+b+c+j), and the rearranged form
-    j*sum(v) + a*v2 + (a+b)*v3 + (a+b+c)*v4 is evaluated alongside the plain
-    dot product; the two must agree.
-    """
+def kernel_member(S: SemigroupSpec, v) -> bool:
+    """True iff v is orthogonal to the generators."""
     v = tuple(int(x) for x in v)
     if len(v) != S.n:
         raise InvalidInputError("vector length does not match generator count")
-    dot = sum(x * a for x, a in zip(v, S.generators))
-    if shifted is not None:
-        a, b, c, j = shifted
-        expected = (j, a + j, a + b + j, a + b + c + j)
-        if S.generators != expected:
-            raise InvalidInputError(
-                f"generators {S.generators} are not the shifted family {expected}")
-        rearranged = j * sum(v) + a * v[1] + (a + b) * v[2] + (a + b + c) * v[3]
-        if rearranged != dot:
-            raise MonocurveError("shifted-family rearrangement disagrees with dot product")
-    return dot == 0
+    return sum(x * a for x, a in zip(v, S.generators)) == 0
 
 
 def binomial_from_vector(v, gens) -> Binomial:

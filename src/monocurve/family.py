@@ -13,13 +13,14 @@ first entry of the tuple itself, never a row label.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
 from dataclasses import dataclass, field
 from importlib.resources import files
 
-from .betti import graded_betti
+from .betti import batches, betti_tables, graded_betti
 from .binomials import (Binomial, binomial_from_vector, ideal_equivalent,
                         kernel_member, minimal_generators)
 from .errors import (HypothesisNotMetError, InsufficientDataError,
@@ -91,15 +92,22 @@ class FamilyScanReport:
     period: PeriodInfo | None = None
 
 
-def _scan_row(args) -> ScanRow:
-    a, b, c, offset, j = args
+def _tabled(specs):
+    """(semigroup, Betti table) for each of ``specs`` in order, one pass per batch.
+
+    Only one batch of semigroups is alive at a time, so memory stays flat
+    however long the sweep.
+    """
+    for chunk in batches(specs):
+        yield from zip(chunk, betti_tables(chunk))
+
+
+def _scan_rows(a, b, c, offset, js) -> list[ScanRow]:
     F = FamilySpec(a, b, c, offset=offset)
-    raw = F.raw_tuple(j)
-    S = normalize(raw)
-    table = graded_betti(S)
-    mu = table.mu
-    return ScanRow(j=j, raw_generators=raw, generators=S.generators,
-                   content=S.content, totals=table.totals, mu=mu, ci=mu == 3)
+    specs = (normalize(F.raw_tuple(j)) for j in js)
+    return [ScanRow(j=j, raw_generators=F.raw_tuple(j), generators=S.generators,
+                    content=S.content, totals=table.totals, mu=table.mu, ci=table.mu == 3)
+            for j, (S, table) in zip(js, _tabled(specs))]
 
 
 def worker_count(jobs, tasks):
@@ -118,14 +126,17 @@ def worker_count(jobs, tasks):
 
 
 def _map_ordered(fn, tasks, jobs):
+    """fn(list of tasks) -> one row per task, over runs of consecutive tasks
+    in worker processes; rows come back in task order."""
     tasks = list(tasks)
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
-        return [fn(t) for t in tasks]
+        return fn(tasks)
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-    chunk = max(1, len(tasks) // (4 * workers))
+    size = -(-len(tasks) // (4 * workers))
+    runs = [tasks[k:k + size] for k in range(0, len(tasks), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return [row for rows in pool.map(fn, runs) for row in rows]
 
 
 def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
@@ -137,8 +148,8 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     j_min, j_max = int(j_min), int(j_max)
     if j_min < 1 or j_min > j_max:
         raise InvalidInputError("need 1 <= j_min <= j_max")
-    tasks = [(F.a, F.b, F.c, F.offset, j) for j in range(j_min, j_max + 1)]
-    rows = _map_ordered(_scan_row, tasks, jobs)
+    rows = _map_ordered(functools.partial(_scan_rows, F.a, F.b, F.c, F.offset),
+                        range(j_min, j_max + 1), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
         report.period = detect_period(report)
@@ -186,8 +197,9 @@ def is_complete_intersection(S: SemigroupSpec) -> bool:
 
 
 def _mu_checked(S: SemigroupSpec):
-    gens, mu = minimal_generators(S)
+    # the table's pass caches the patterns that minimal_generators reads
     b1 = graded_betti(S).mu
+    gens, mu = minimal_generators(S)
     if mu != b1:
         raise MonocurveError(f"mu={mu} disagrees with first Betti number {b1}")
     return gens, mu
@@ -240,19 +252,16 @@ def hs3_sweep(q_max, ab_max):
     """(triples checked, disagreements) of :func:`hs3_agree` over coprime a, b
     with a + b <= ab_max and every q from the criterion's threshold to q_max;
     each disagreement is a dict with keys q, a, b, lemma_ci and mu."""
-    checked = 0
+    triples = [(q, a, s - a) for s in range(2, ab_max + 1) for a in range(1, s)
+               if math.gcd(a, s - a) == 1
+               for q in range(_hs3_min_q(a, s - a), q_max + 1)]
+    specs = (normalize((q, q + a, q + a + b)) for q, a, b in triples)
     bad = []
-    for s in range(2, ab_max + 1):
-        for a in range(1, s):
-            b = s - a
-            if math.gcd(a, b) != 1:
-                continue
-            for q in range(_hs3_min_q(a, b), q_max + 1):
-                lemma, mu, agree = hs3_agree(q, a, b)
-                checked += 1
-                if not agree:
-                    bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": mu})
-    return checked, bad
+    for (q, a, b), (_, table) in zip(triples, _tabled(specs)):
+        lemma = ci_check_3gen(q, a, b)
+        if lemma != (table.mu == 2):
+            bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": table.mu})
+    return len(triples), bad
 
 
 def _require_theorem_hypotheses(F: FamilySpec):
@@ -295,12 +304,17 @@ class TheoremBReport:
         return not self.counterexamples
 
 
-def _tb_row(args) -> TheoremBRow:
-    a, b, c, j = args
-    S = normalize((j, a + j, a + b + j, a + b + c + j))
-    return TheoremBRow(j=j, generators=S.generators,
-                       ci=is_complete_intersection(S),
-                       divisible=j % (a + b + c) == 0)
+def _shifted(a, b, c, j):
+    return normalize((j, a + j, a + b + j, a + b + c + j))
+
+
+def _tb_rows(a, b, c, js) -> list[TheoremBRow]:
+    # the batch caches each table and its patterns, so is_complete_intersection
+    # looks them up
+    specs = (_shifted(a, b, c, j) for j in js)
+    return [TheoremBRow(j=j, generators=S.generators, ci=is_complete_intersection(S),
+                        divisible=j % (a + b + c) == 0)
+            for j, (S, _) in zip(js, _tabled(specs))]
 
 
 def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
@@ -318,8 +332,8 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
         raise InvalidInputError("need j_min <= j_max")
-    tasks = [(F.a, F.b, F.c, j) for j in range(j_min, j_max + 1)]
-    rows = _map_ordered(_tb_row, tasks, jobs)
+    rows = _map_ordered(functools.partial(_tb_rows, F.a, F.b, F.c),
+                        range(j_min, j_max + 1), jobs)
     bad = [r for r in rows if not r.agrees]
     return TheoremBReport(family=F, j_min=j_min, j_max=j_max,
                           rows=rows, counterexamples=bad)
@@ -391,37 +405,24 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
         raise InvalidInputError("n_max must be at least 1")
     a, b, c = F.a, F.b, F.c
     s = F.period
+    # (case, n, t, stride): case i has j = s*n, cases ii and iii j = s*n + stride*t
+    cases = [("i", n, None, 0) for n in range(1, n_max + 1)]
+    for case, p, stride in (("ii", F.p_c, a + b), ("iii", F.p_a, b + c)):
+        if p is not None:
+            ts = range(1, p + 1) if include_t else range(1, 2)
+            cases += [(case, n, t, stride) for n in range(1, n_max + 1) for t in ts]
+    js = [s * n + stride * (t or 0) for _, n, t, stride in cases]
+    check_ideal = F.p_c is not None and math.gcd(a, b) == 1
     rows: list[TheoremARow] = []
-
-    def member(j):
-        return normalize((j, a + j, a + b + j, a + b + c + j))
-
-    for n in range(1, n_max + 1):
-        j = s * n
-        S = member(j)
+    for (case, n, t, _), j, (S, _) in zip(cases, js,
+                                          _tabled(_shifted(a, b, c, j) for j in js)):
         gens, mu = _mu_checked(S)
         ideal_ok = None
-        if F.p_c is not None and math.gcd(a, b) == 1:
+        if case == "i" and check_ideal:
             ideal_ok = ideal_equivalent(S, gens, _case_i_ideal(S, n, F.p_c, a, b))
-        rows.append(TheoremARow(case="i", n=n, t=None, j=j,
-                                generators=S.generators, mu=mu,
-                                expected_mu=3, ideal_matches=ideal_ok))
-
-    def mu4_case(case, p, stride):
-        ts = range(1, p + 1) if include_t else range(1, 2)
-        for n in range(1, n_max + 1):
-            for t in ts:
-                j = s * n + stride * t
-                S = member(j)
-                _, mu = _mu_checked(S)
-                rows.append(TheoremARow(case=case, n=n, t=t, j=j,
-                                        generators=S.generators, mu=mu,
-                                        expected_mu=4, ideal_matches=None))
-
-    if F.p_c is not None:
-        mu4_case("ii", F.p_c, a + b)
-    if F.p_a is not None:
-        mu4_case("iii", F.p_a, b + c)
+        rows.append(TheoremARow(case=case, n=n, t=t, j=j, generators=S.generators,
+                                mu=mu, expected_mu=3 if case == "i" else 4,
+                                ideal_matches=ideal_ok))
 
     bad = [r for r in rows if not r.agrees]
     return TheoremAReport(family=F, n_max=n_max, rows=rows, counterexamples=bad)

@@ -139,10 +139,6 @@ class MembershipTable:
         reduced = xs // self.content
         return (xs % self.content == 0) & (reduced >= self.ap[reduced % self.modulus])
 
-    def as_bool_array(self, bound):
-        """Membership of 0..bound as a numpy bool array."""
-        return self.member_mask(np.arange(bound + 1, dtype=np.int64))
-
     def frobenius(self):
         """Largest integer outside ⟨generators/d⟩; -1 if there is none."""
         return int(self.ap.max()) - self.modulus

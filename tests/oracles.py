@@ -17,8 +17,10 @@ The rest is API that only tests call, kept on the package's own routes:
 divisor complexes of single degrees (``divisor_complex``, ``face``) and their
 ranks (``reduced_homology_ranks``, through the package's rank route), mu from
 1-skeleton components alone (``skeleton_mu``, independent of the ranks),
-completeness of a binomial set (``verify_generates``), and the family member
-at a row label (``shift_sequence``).
+completeness of a binomial set (``verify_generates``), the family member
+at a row label (``shift_sequence``), kernel membership cross-checked in the
+shifted family's rearranged form (``shifted_kernel_member``), and a
+membership table read out over 0..bound (``member_array``).
 """
 
 import functools
@@ -30,7 +32,7 @@ import numpy as np
 from monocurve.betti import (_reduced_ranks, _skeleton_components,
                              default_bound, degree_patterns,
                              integer_matrix_rank)
-from monocurve.binomials import Binomial, _move_components
+from monocurve.binomials import Binomial, _move_components, kernel_member
 from monocurve.errors import InvalidInputError, MonocurveError
 from monocurve.family import FamilySpec
 from monocurve.semigroup import (SemigroupSpec, canonical_key, factorizations,
@@ -291,7 +293,7 @@ def verify_generates(S: SemigroupSpec, gens, bound=None) -> bool:
     """
     if bound is None:
         bound = default_bound(S)
-    members = S.membership.as_bool_array(bound)
+    members = member_array(S.membership, bound)
     for m in np.flatnonzero(members).tolist():
         facts, _, find = _move_components(S, gens, m)
         if len(facts) < 2:
@@ -308,3 +310,27 @@ def shift_sequence(F: FamilySpec, j) -> SemigroupSpec:
     if j < 1:
         raise InvalidInputError("shift index must be at least 1")
     return normalize(F.raw_tuple(j))
+
+
+def member_array(table, bound):
+    """Membership of 0..bound in a ``MembershipTable``, as a numpy bool array."""
+    return table.member_mask(np.arange(bound + 1, dtype=np.int64))
+
+
+def shifted_kernel_member(S: SemigroupSpec, v, shifted) -> bool:
+    """``kernel_member`` for the shifted family ``shifted=(a, b, c, j)``.
+
+    The generators must be (j, a+j, a+b+j, a+b+c+j), and the rearranged form
+    j*sum(v) + a*v2 + (a+b)*v3 + (a+b+c)*v4 must agree with the plain dot
+    product.
+    """
+    a, b, c, j = shifted
+    expected = (j, a + j, a + b + j, a + b + c + j)
+    if S.generators != expected:
+        raise InvalidInputError(
+            f"generators {S.generators} are not the shifted family {expected}")
+    v = tuple(int(x) for x in v)
+    rearranged = j * sum(v) + a * v[1] + (a + b) * v[2] + (a + b + c) * v[3]
+    if (rearranged == 0) != kernel_member(S, v):
+        raise MonocurveError("shifted-family rearrangement disagrees with dot product")
+    return rearranged == 0

@@ -12,14 +12,14 @@ import time
 
 from monocurve.betti import default_bound, graded_betti
 from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
-                                 kernel_member, minimal_generators)
+                                 minimal_generators)
 from monocurve.cli import run as cli_run
-from monocurve.family import (FamilySpec, ci_check_3gen, reproduce_table,
+from monocurve.family import (FamilySpec, hs3_sweep, reproduce_table,
                               verify_theorem_a, verify_theorem_b)
 from monocurve.semigroup import normalize
 
 from oracles import (brute_mu, divisor_complex, enumerate_generators,
-                     verify_generates)
+                     shifted_kernel_member, verify_generates)
 
 KOSZUL = (1, 3, 3, 1, 0)
 
@@ -116,7 +116,7 @@ def test_criterion_5_theorem_a_spot_checks():
         S = normalize((j, 12 + j, 15 + j, 16 + j))
         if brute_mu(S.generators) != 3:
             failures.append(("iii brute_mu", j))
-        if not all(kernel_member(S, v, shifted=(12, 3, 1, j)) for v in vectors):
+        if not all(shifted_kernel_member(S, v, (12, 3, 1, j)) for v in vectors):
             failures.append(("iii kernel_member", j))
         gens, mu = minimal_generators(S)
         binomials = [binomial_from_vector(v, S.generators) for v in vectors]
@@ -182,26 +182,19 @@ def test_criterion_7_structural_invariants():
 
 
 def test_criterion_8_hs3_equivalence():
+    # the library sweep that `verify hs3` runs: coprime a, b with a + b <= 12
+    # and every q from max(ab+b^2, ab+a^2) to 200
+    expected = sum(201 - max(a * b + b * b, a * b + a * a)
+                   for s in range(2, 13) for a in range(1, s)
+                   for b in [s - a] if math.gcd(a, b) == 1)
     start = time.perf_counter()
-    checked = 0
-    mismatches = []
-    for s in range(2, 13):
-        for a in range(1, s):
-            b = s - a
-            if math.gcd(a, b) != 1:
-                continue
-            q_lo = max(a * b + b * b, a * b + a * a)
-            for q in range(q_lo, 201):
-                S = normalize((q, q + a, q + a + b))
-                pipeline_ci = graded_betti(S).mu == 2
-                if ci_check_3gen(q, a, b) != pipeline_ci:
-                    mismatches.append((q, a, b))
-                checked += 1
+    checked, mismatches = hs3_sweep(200, 12)
     elapsed = time.perf_counter() - start
-    ok = not mismatches and elapsed < 120
+    ok = not mismatches and checked == expected == 6483 and elapsed < 120
     _line(f"criterion 8: 3-generated CI criterion vs pipeline "
           f"({checked} triples)", ok, f"[{elapsed:.2f}s]")
     assert not mismatches, mismatches[:10]
+    assert checked == expected == 6483
     assert elapsed < 120
 
 

@@ -1,16 +1,18 @@
 import math
+import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocurve import betti, semigroup
-from monocurve.betti import (default_bound, degree_patterns, graded_betti,
-                             integer_matrix_rank)
+from monocurve.betti import (batches, betti_tables, default_bound,
+                             degree_patterns, graded_betti, integer_matrix_rank)
 from monocurve.errors import (InvalidInputError, MonocurveError,
                               MustNormalizeError, OutOfRangeError)
-from monocurve.family import is_complete_intersection
+from monocurve.family import FamilySpec, is_complete_intersection, verify_theorem_b
 from monocurve.semigroup import MAX_CELLS, SemigroupSpec, frobenius, normalize
 
 from oracles import (DivisorComplex, brute_generator_degrees, brute_mu,
@@ -321,22 +323,40 @@ def test_candidate_cap_refuses_before_allocating(monkeypatch):
     assert f"{8 * a:,}" in str(err.value)
     with pytest.raises(OutOfRangeError):
         degree_patterns(S, 10)
+    # in a batch, the member over the cap is named before any member's table
+    batch = [normalize((30, 32, 35, 40)), S, normalize((5, 7, 9, 11))]
+    with pytest.raises(OutOfRangeError, match=rf"^generators \({a}, {a + 1}, {a + 3}, {a + 7}\)"):
+        betti_tables(batch)
+
+
+def test_batch_refuses_mixed_generator_counts():
+    with pytest.raises(InvalidInputError, match="same number of generators"):
+        betti_tables([normalize((3, 5)), normalize((3, 5, 7))])
 
 
 def test_patterns_decomposed_once_per_semigroup(monkeypatch):
-    calls = []
-    original = betti._unique_rows
+    passes = []
+    original = betti._pattern_pass
 
-    def counted(words):
-        calls.append(len(words))
-        return original(words)
+    def counted(specs, bounds):
+        passes.append(len(specs))
+        return original(specs, bounds)
 
-    monkeypatch.setattr(betti, "_unique_rows", counted)
+    monkeypatch.setattr(betti, "_pattern_pass", counted)
     S = normalize((23, 25, 28, 33))
     assert not is_complete_intersection(S)  # generators, then graded_betti
     assert skeleton_mu(S) == 6
-    # one call deduplicates the candidate degrees, one their complexes
-    assert len(calls) == 2
+    assert passes == [1]
+    # theorem-b rows of (1,1,2) from its threshold 64 have 512 to 552
+    # candidate cells each: one pass covers all 6 rows, and each row's
+    # is_complete_intersection finds its patterns and table cached
+    passes.clear()
+    assert len(verify_theorem_b(FamilySpec(1, 1, 2), 64, 69).rows) == 6
+    assert passes == [6]
+    passes.clear()
+    monkeypatch.setattr(betti, "_CHUNK_CELLS", 1200)
+    assert len(verify_theorem_b(FamilySpec(1, 1, 2), 64, 69).rows) == 6
+    assert passes == [2, 2, 2]
 
 
 def test_errors_name_generators_degree_and_check(monkeypatch):
@@ -349,6 +369,25 @@ def test_errors_name_generators_degree_and_check(monkeypatch):
     m = int(re.search(r"degree (\d+)", str(err.value)).group(1))
     assert m in degree_patterns(S, default_bound(S))[0].tolist()
     assert any(f.bit_count() == 1 for f in divisor_complex(S, m).faces)
+
+
+def test_batch_errors_name_a_member_carrying_the_complex(monkeypatch):
+    # break the component check for one complex that only the second member
+    # of the batch has; the error must name that member and one of its degrees
+    first, second = (23, 25, 28, 33), (30, 32, 35, 40)
+    own = set(degree_patterns(normalize(second), default_bound(normalize(second)))[1])
+    own -= set(degree_patterns(normalize(first), default_bound(normalize(first)))[1])
+    target = next(u for u in sorted(own) if betti._vertex_count(4, u) >= 1)
+    original = betti._skeleton_components
+    monkeypatch.setattr(betti, "_skeleton_components",
+                        lambda n, u: original(n, u) + ((0,) if u == target else ()))
+    monkeypatch.setattr(betti, "_COMPONENTS_MEMO", {})
+    batch = [normalize(first), normalize(second)]
+    with pytest.raises(MonocurveError, match=r"^generators \(30, 32, 35, 40\), degree \d+: "
+                       r"homology rank and skeleton components disagree$") as err:
+        betti_tables(batch)
+    m = int(re.search(r"degree (\d+)", str(err.value)).group(1))
+    assert _faceset(divisor_complex(batch[1], m).faces) == target
 
 
 @pytest.mark.parametrize("patch, check", [
@@ -385,3 +424,50 @@ def test_homology_cells_stay_within_apery_koszul_bound(monkeypatch):
     assert cells
     assert max(cells) <= math.comb(7, 3) * math.comb(7, 4) == 1225
     assert sum(cells) < 20_000
+
+
+@st.composite
+def _raw_batches(draw):
+    """Raw generator lists with one n in 2..8: common factors, duplicates, any order."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    raws = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        gens = draw(st.lists(st.integers(min_value=2, max_value=24), min_size=n,
+                             max_size=n, unique=True))
+        factor = draw(st.sampled_from((1, 1, 2, 3)))
+        raw = [factor * g for g in gens]
+        if draw(st.booleans()):
+            raw.append(draw(st.sampled_from(raw)))
+        random.Random(draw(st.integers(0, 1 << 16))).shuffle(raw)
+        raws.append(raw)
+    return raws
+
+
+def _patterns(S, bound):
+    degrees, faces, inverse, counts = degree_patterns(S, bound)
+    return degrees.tolist(), faces, inverse.tolist(), counts.tolist()
+
+
+@given(_raw_batches(), st.sampled_from((None, -1, 0, 40, 90)),
+       st.sampled_from((1, 64, 1 << 14)))
+@settings(max_examples=100, deadline=None)
+def test_batch_of_many_equals_batches_of_one(raws, bound, budget):
+    batch = [normalize(r) for r in raws]
+    with mock.patch.object(betti, "_CHUNK_CELLS", budget):
+        tables = betti_tables(batch, bound)
+        chunks = list(batches(batch))
+    assert [S for chunk in chunks for S in chunk] == batch
+    if budget == 1:
+        assert all(len(chunk) == 1 for chunk in chunks)
+    for raw, S, table in zip(raws, batch, tables):
+        alone = normalize(raw)
+        single = graded_betti(alone, bound)
+        assert list(table.rows.items()) == list(single.rows.items()), raw
+        assert table.totals == single.totals, raw
+        b = default_bound(alone) if bound is None else bound
+        assert _patterns(S, b) == _patterns(alone, b), raw
+    # against the whole-complex scan of every degree, on the small members
+    for raw, S, table in zip(raws, batch, tables):
+        if S.n <= 4 and S.generators[0] <= 12:
+            b = default_bound(S) if bound is None else bound
+            assert list(table.rows.items()) == list(_full_scan_rows(S, b).items()), raw

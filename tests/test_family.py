@@ -4,7 +4,7 @@ import os
 import pytest
 
 from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
-                                 kernel_member, minimal_generators)
+                                 minimal_generators)
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
@@ -13,7 +13,7 @@ from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               verify_theorem_a, verify_theorem_b, worker_count)
 from monocurve.semigroup import normalize
 
-from oracles import brute_mu, shift_sequence
+from oracles import brute_mu, shift_sequence, shifted_kernel_member
 
 
 def test_structure_flags():
@@ -283,7 +283,7 @@ def test_theorem_b_fails_on_flagged_triple_with_common_factor():
         S = normalize(raw)
         m = j // 4
         vectors = [(-1, 2, -1, 0), (-1, 0, 2, -1), (m + 3, 0, 0, -m)]
-        assert all(kernel_member(S, v, shifted=(3, 3, 6, j)) for v in vectors)
+        assert all(shifted_kernel_member(S, v, (3, 3, 6, j)) for v in vectors)
         explicit = [binomial_from_vector(v, S.generators) for v in vectors]
         assert ideal_equivalent(S, minimal_generators(S)[0], explicit), j
 

@@ -11,7 +11,7 @@ from monocurve.semigroup import (MAX_CELLS, MembershipTable, SemigroupSpec,
                                  normalize)
 
 from oracles import (brute_apery, brute_factorizations, brute_frobenius,
-                     brute_members)
+                     brute_members, member_array)
 
 
 def test_normalize_already_reduced():
@@ -166,7 +166,7 @@ def test_membership_table_is_apery_set():
     # the empty set generates {0}
     t = MembershipTable(())
     assert [m for m in range(5) if t.contains(m)] == [0]
-    assert t.as_bool_array(3).tolist() == [True, False, False, False]
+    assert member_array(t, 3).tolist() == [True, False, False, False]
 
 
 def test_contains_far_beyond_table_uses_frobenius():
@@ -194,7 +194,7 @@ def test_apery_size_cap_refuses_up_front(monkeypatch):
 
 def test_table_as_bool_array():
     t = MembershipTable((2, 3))
-    arr = t.as_bool_array(10)
+    arr = member_array(t, 10)
     assert list(arr) == [True, False, True, True, True, True, True, True, True, True, True]
 
 
@@ -238,7 +238,7 @@ def test_membership_matches_oracle_on_raw_input(raw, factor):
     t = MembershipTable(raw)
     member = brute_members(raw, 250)
     assert [t.contains(m) for m in range(251)] == member
-    assert t.as_bool_array(250).tolist() == member
+    assert member_array(t, 250).tolist() == member
     assert not t.contains(-1)
     try:
         S = normalize(raw)
