@@ -294,14 +294,18 @@ def _pattern_pass(specs, bounds):
     faces = [sum(w << (64 * i) for i, w in enumerate(row)) for row in ordered[first].tolist()]
 
     # per semigroup: its distinct complexes in batch order, with counts
-    distinct, local, counts = np.unique(owner * len(faces) + inverse,
-                                        return_inverse=True, return_counts=True)
+    pairs = owner * len(faces) + inverse
+    distinct = np.sort(pairs)
+    first = np.ones(len(distinct), dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    counts = np.diff(np.append(np.flatnonzero(first), len(distinct)))
+    distinct = distinct[first]
     face_owner = distinct // max(len(faces), 1)
     face_ids = distinct - face_owner * len(faces)
     owners = np.arange(len(specs) + 1)
     starts = np.searchsorted(owner, owners).tolist()
     face_starts = np.searchsorted(face_owner, owners)
-    local -= face_starts[owner]
+    local = np.searchsorted(distinct, pairs) - face_starts[owner]
     face_starts = face_starts.tolist()
     for i, (S, bound) in enumerate(zip(specs, bounds)):
         lo, hi = starts[i], starts[i + 1]

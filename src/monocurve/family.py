@@ -249,9 +249,10 @@ def hs3_agree(q, a, b):
 
 
 def hs3_sweep(q_max, ab_max):
-    """(triples checked, disagreements) of :func:`hs3_agree` over coprime a, b
-    with a + b <= ab_max and every q from the criterion's threshold to q_max;
-    each disagreement is a dict with keys q, a, b, lemma_ci and mu."""
+    """(triples checked, disagreements) of the :func:`hs3_agree` check over
+    coprime a, b with a + b <= ab_max and every q from the criterion's
+    threshold to q_max, the semigroups evaluated in batches; each
+    disagreement is a dict with keys q, a, b, lemma_ci and mu."""
     triples = [(q, a, s - a) for s in range(2, ab_max + 1) for a in range(1, s)
                if math.gcd(a, s - a) == 1
                for q in range(_hs3_min_q(a, s - a), q_max + 1)]
