@@ -241,11 +241,13 @@ def _face_bits(n):
 def _pattern_pass(specs, bounds):
     """Candidate degrees and their complexes for semigroups with the same n.
 
-    Returns (owner, degrees, faces, inverse): the distinct candidate degrees
-    up to each semigroup's bound, ordered by (semigroup index ``owner``,
-    degree), the batch's distinct face-set integers, and the index into
-    ``faces`` of each degree's complex. Each semigroup's slice is cached as
-    its ("patterns", bound) entry, in the shape :func:`degree_patterns`
+    Returns (owner, degrees, faces, inverse, (face_owner, face_ids,
+    counts)): the distinct candidate degrees up to each semigroup's bound,
+    ordered by (semigroup index ``owner``, degree), the batch's distinct
+    face-set integers, the index into ``faces`` of each degree's complex,
+    and per (semigroup, distinct complex) pair its semigroup, its index into
+    ``faces`` and its number of degrees. Each semigroup's slice is cached
+    as its ("patterns", bound) entry, in the shape :func:`degree_patterns`
     returns.
     """
     n = specs[0].n
