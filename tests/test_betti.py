@@ -329,6 +329,14 @@ def test_candidate_cap_refuses_before_allocating(monkeypatch):
         betti_tables(batch)
 
 
+def test_batches_keep_sort_keys_below_2_62():
+    # ⟨3, an⟩ with an near 2**58 has candidates up to about 3an, near
+    # 2**59.6, so twelve of them in one pass would overflow index * span + degree
+    specs = [normalize((3, (1 << 58) + 3 * k + 1)) for k in range(12)]
+    assert [len(chunk) for chunk in batches(specs)] == [2] * 6
+    assert betti_tables(specs) == [graded_betti(normalize(S.generators)) for S in specs]
+
+
 def test_batch_refuses_mixed_generator_counts():
     with pytest.raises(InvalidInputError, match="same number of generators"):
         betti_tables([normalize((3, 5)), normalize((3, 5, 7))])
