@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import gc
 import json
 import os
 import sys
@@ -356,6 +357,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main():
+    # the import heap (numpy's included) lives as long as the process, so the
+    # collections during the command and at shutdown need not walk it
+    gc.freeze()
     sys.exit(run())
 
 

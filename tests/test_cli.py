@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -137,11 +138,16 @@ print(json.dumps([code, bool(out.getvalue()), sorted(names & set(sys.modules))])
 """
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_default_commands_load_no_pool_or_diff_modules():
     names = {"concurrent.futures.process", "multiprocessing", "difflib"}
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _src_env()
     script = _LOADED_AFTER.format(names=names)
     for argv in (["--help"],
                  ["betti", "--gens", "30,32,35,40"],
@@ -371,3 +377,81 @@ GOLDEN_RENDERS = {
 def test_golden_render(command, fmt):
     code, out, _ = run_cli(command.split() + ["--format", fmt])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_RENDERS[command][fmt]
+
+
+# the $defs entry that each GOLDEN_RENDERS command's json payload must match
+PAYLOAD_DEFS = {
+    "betti --gens 30,32,35,40": "payload_betti",
+    "gens --gens 30,32,35,40": "payload_gens",
+    "critical --gens 30,32,35,40": "payload_critical",
+    "scan --abc 2,3,5 --from 22 --to 51": "payload_scan",
+    "verify theorem-a --abc 12,3,1 --n-max 3": "payload_verify_theorem_a",
+    "verify theorem-b --abc 2,3,5 --from 1000 --to 1005": "payload_verify_theorem_b",
+    "verify hs3 --q 12 --a 1 --b 2": "payload_verify_hs3_single",
+    "verify hs3 --q-max 30 --ab-max 5": "payload_verify_hs3_sweep",
+    "table --example 1": "payload_table",
+}
+
+
+def test_every_payload_def_is_checked():
+    assert set(PAYLOAD_DEFS) == set(GOLDEN_RENDERS)
+    schema = load_schema()
+    assert set(PAYLOAD_DEFS.values()) == {k for k in schema["$defs"]
+                                          if k.startswith("payload_")}
+    # the benchmark validates every document against this top-level rule
+    assert schema["properties"]["payload"] == {"type": "object"}
+
+
+@pytest.mark.parametrize("command", sorted(PAYLOAD_DEFS))
+def test_json_payload_matches_its_command_schema(command, monkeypatch):
+    _, out, _ = run_cli(command.split() + ["--format", "json"])
+    doc = json.loads(out)
+    schema = load_schema()
+    schema["properties"]["payload"] = {"$ref": f"#/$defs/{PAYLOAD_DEFS[command]}"}
+    jsonschema.validate(doc, schema)
+    # the benchmark's validator raises SchemaError on a keyword it lacks
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    assert importlib.import_module("checks").validate(doc, schema, schema) == []
+
+
+def test_main_freezes_the_import_heap_before_run(monkeypatch):
+    for code in (0, 1, 2):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "run", lambda code=code: calls.append("run") or code)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert calls == ["freeze", "run"]
+        assert exit_info.value.code == code
+
+
+def test_run_freezes_nothing():
+    before = gc.get_freeze_count()
+    assert run_cli(["betti", "--gens", "30,32,35,40"])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def _entry_point(argv):
+    """(exit code, stdout bytes, stderr text) of ``python -m monocurve.cli``."""
+    done = subprocess.run([sys.executable, "-m", "monocurve.cli", *argv],
+                          env=_src_env(), capture_output=True)
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+# through main() and the interpreter's exit, as the console script runs
+@pytest.mark.parametrize("command, fmt, extra", [
+    ("scan --abc 2,3,5 --from 22 --to 51", "json", ["--jobs", "1"]),
+    ("scan --abc 2,3,5 --from 22 --to 51", "json", ["--jobs", "2"]),
+    ("verify theorem-a --abc 12,3,1 --n-max 3", "pretty", []),
+    ("table --example 1", "csv", []),
+])
+def test_entry_point_matches_golden_render(command, fmt, extra):
+    code, out, err = _entry_point(command.split() + ["--format", fmt, *extra])
+    assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN_RENDERS[command][fmt]
+    assert sum(line.startswith("elapsed_ms=") for line in err.splitlines()) == 1
+
+
+def test_entry_point_usage_error():
+    code, out, err = _entry_point(["betti"])
+    assert code == 1 and out == b""
+    assert "error:" in err and "elapsed_ms=" not in err
