@@ -36,9 +36,9 @@ tables are concatenated with an offset each; the candidates carry their
 semigroup's index in the int64 sort key index * span + degree; membership
 is tested a block of rows at a time over the whole batch; the face words
 are deduplicated once for the batch and each distinct complex is ranked and
-cross-checked once. Each semigroup's slice is cached on it as its patterns
-and its table, and the per-table checks stay per semigroup. A single
-semigroup is a batch of one, through the same code.
+cross-checked once. Each semigroup caches its table and, as its patterns,
+views of the batch's degree and complex-index arrays with the batch's faces;
+the per-table checks stay per semigroup. A batch of one is the same code.
 """
 
 from __future__ import annotations
@@ -241,14 +241,12 @@ def _face_bits(n):
 def _pattern_pass(specs, bounds):
     """Candidate degrees and their complexes for semigroups with the same n.
 
-    Returns (owner, degrees, faces, inverse, (face_owner, face_ids,
-    counts)): the distinct candidate degrees up to each semigroup's bound,
-    ordered by (semigroup index ``owner``, degree), the batch's distinct
-    face-set integers, the index into ``faces`` of each degree's complex,
-    and per (semigroup, distinct complex) pair its semigroup, its index into
-    ``faces`` and its number of degrees. Each semigroup's slice is cached
-    as its ("patterns", bound) entry, in the shape :func:`degree_patterns`
-    returns.
+    Returns (owner, degrees, faces, inverse): the distinct candidate degrees
+    up to each semigroup's bound, ordered by (semigroup index ``owner``,
+    degree), the batch's distinct face-set integers, and the index into
+    ``faces`` of each degree's complex. Each semigroup's ("patterns", bound)
+    entry is its views ``degrees[lo:hi]`` and ``inverse[lo:hi]`` with the
+    batch's ``faces``; :func:`degree_patterns` compacts it.
     """
     n = specs[0].n
     nfaces = 1 << n
@@ -257,8 +255,7 @@ def _pattern_pass(specs, bounds):
         raise MustNormalizeError("Betti degrees require coprime generators")
     sums = np.array([S.generators for S in specs], dtype=np.int64) @ _face_bits(n).T
     moduli = np.array([t.modulus for t in tables], dtype=np.int64)
-    base = np.zeros(len(specs), dtype=np.int64)
-    np.cumsum(moduli[:-1], out=base[1:])
+    base = np.cumsum(moduli) - moduli
     ap = np.concatenate([t.ap for t in tables])
     ap_owner = np.repeat(np.arange(len(specs)), moduli)
     # even face masks are the subsets of {2..n}
@@ -295,27 +292,10 @@ def _pattern_pass(specs, bounds):
     inverse[order] = np.cumsum(first) - 1
     faces = [sum(w << (64 * i) for i, w in enumerate(row)) for row in ordered[first].tolist()]
 
-    # per semigroup: its distinct complexes in batch order, with counts
-    pairs = owner * len(faces) + inverse
-    distinct = np.sort(pairs)
-    first = np.ones(len(distinct), dtype=bool)
-    first[1:] = distinct[1:] != distinct[:-1]
-    counts = np.diff(np.append(np.flatnonzero(first), len(distinct)))
-    distinct = distinct[first]
-    face_owner = distinct // max(len(faces), 1)
-    face_ids = distinct - face_owner * len(faces)
-    owners = np.arange(len(specs) + 1)
-    starts = np.searchsorted(owner, owners).tolist()
-    face_starts = np.searchsorted(face_owner, owners)
-    local = np.searchsorted(distinct, pairs) - face_starts[owner]
-    face_starts = face_starts.tolist()
-    for i, (S, bound) in enumerate(zip(specs, bounds)):
-        lo, hi = starts[i], starts[i + 1]
-        flo, fhi = face_starts[i], face_starts[i + 1]
-        S._cache[("patterns", bound)] = (
-            degrees[lo:hi], [faces[u] for u in face_ids[flo:fhi].tolist()], local[lo:hi],
-            counts[flo:fhi])
-    return owner, degrees, faces, inverse, (face_owner, face_ids, counts)
+    starts = np.searchsorted(owner, np.arange(len(specs) + 1)).tolist()
+    for S, bound, lo, hi in zip(specs, bounds, starts, starts[1:]):
+        S._cache[("patterns", bound)] = (degrees[lo:hi], faces, inverse[lo:hi])
+    return owner, degrees, faces, inverse
 
 
 def degree_patterns(S: SemigroupSpec, bound):
@@ -324,30 +304,31 @@ def degree_patterns(S: SemigroupSpec, bound):
     The candidates are w + a_F for w in Ap(S, a1) and F ⊆ {2..n}; every other
     degree has zero Betti numbers (module docstring). ``degrees`` ascends,
     degree ``degrees[k]`` has the face-set integer ``faces[inverse[k]]``, and
-    ``counts[u]`` degrees share ``faces[u]``. Computed once per semigroup and
-    bound, as a batch of one unless a batch already cached it.
+    ``counts[u]`` degrees share ``faces[u]``, which keep the batch's order.
+    The pass runs once per semigroup and bound, as a batch of one unless a
+    batch already cached the semigroup's views of it (:func:`_pattern_pass`).
     """
     key = ("patterns", bound)
     if key not in S._cache:
         _check_candidates(S)
         _pattern_pass([S], [bound])
-    return S._cache[key]
+    degrees, faces, inverse = S._cache[key]
+    counts = np.bincount(inverse, minlength=len(faces))
+    ids = np.flatnonzero(counts)
+    local = (np.cumsum(counts > 0) - 1)[inverse]
+    return degrees, [faces[u] for u in ids.tolist()], local, counts[ids]
 
 
-def _vertex_count(nvars, faceset):
-    return sum(1 for i in range(nvars) if faceset >> (1 << i) & 1)
-
-
-def _table_pass(specs, bounds, provable):
+def _table_pass(specs, bounds):
     """Tables of one batch, cached on each semigroup as ("table", bound)."""
     n = specs[0].n
-    owner, degrees, faces, inverse, (face_owner, face_ids, counts) = \
-        _pattern_pass(specs, bounds)
+    owner, degrees, faces, inverse = _pattern_pass(specs, bounds)
     ranks_by_u = []
     for index, u in enumerate(faces):
         try:
             ranks = _reduced_ranks(n, u)
-            if _vertex_count(n, u) >= 1 and ranks[1] != len(_skeleton_components(n, u)) - 1:
+            comps = _skeleton_components(n, u)
+            if comps and ranks[1] != len(comps) - 1:
                 raise MonocurveError("homology rank and skeleton components disagree")
         except MonocurveError as err:
             k = int(np.argmax(inverse == index))
@@ -355,17 +336,16 @@ def _table_pass(specs, bounds, provable):
                                  f"degree {int(degrees[k])}: {err}") from err
         ranks_by_u.append(ranks)
 
-    ranks = np.array(ranks_by_u, dtype=np.int64).reshape(len(faces), n + 1)
-    totals = np.zeros((len(specs), n + 1), dtype=np.int64)
-    np.add.at(totals, face_owner, ranks[face_ids] * counts[:, None])
+    nonzero = np.array([any(r) for r in ranks_by_u], dtype=bool)
     rows: list[dict[int, tuple[int, ...]]] = [{} for _ in specs]
-    hit = np.flatnonzero(ranks.any(axis=1)[inverse])
+    hit = np.flatnonzero(nonzero[inverse])
     for i, m, u in zip(owner[hit].tolist(), degrees[hit].tolist(), inverse[hit].tolist()):
         rows[i][m] = ranks_by_u[u]
 
-    for S, bound, top, r, t in zip(specs, bounds, provable, rows, totals.tolist()):
-        table = GradedBettiTable(rows=r, totals=tuple(t))
-        if bound >= top:
+    for S, bound, r in zip(specs, bounds, rows):
+        t = tuple(map(sum, zip((0,) * (n + 1), *r.values())))
+        table = GradedBettiTable(rows=r, totals=t)
+        if bound >= default_bound(S):
             where = f"generators {S.generators}: "
             if t[0] != 1 or r.get(0, (0,))[0] != 1:
                 raise MonocurveError(where + "degree-0 Betti number must be exactly 1")
@@ -394,12 +374,10 @@ def betti_tables(specs, bound=None) -> list[GradedBettiTable]:
         _check_candidates(S)
     out = []
     for chunk in batches(specs):
-        provable = [default_bound(S) for S in chunk]
-        bounds = provable if bound is None else [bound] * len(chunk)
-        todo = [k for k, (S, b) in enumerate(zip(chunk, bounds)) if ("table", b) not in S._cache]
+        bounds = [default_bound(S) if bound is None else bound for S in chunk]
+        todo = [(S, b) for S, b in zip(chunk, bounds) if ("table", b) not in S._cache]
         if todo:
-            _table_pass([chunk[k] for k in todo], [bounds[k] for k in todo],
-                        [provable[k] for k in todo])
+            _table_pass([S for S, _ in todo], [b for _, b in todo])
         out.extend(S._cache[("table", b)] for S, b in zip(chunk, bounds))
     return out
 
@@ -417,14 +395,9 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
     return betti_tables([S], bound)[0]
 
 
-def disconnected_degrees(S: SemigroupSpec, bound=None):
-    """Degrees whose divisor complex is disconnected, with component masks."""
-    if bound is None:
-        bound = default_bound(S)
+def disconnected_degrees(S: SemigroupSpec, bound):
+    """Degrees up to ``bound`` whose divisor complex is disconnected, with component masks."""
     degrees, faces, inverse, _ = degree_patterns(S, bound)
     comps_by_u = [_skeleton_components(S.n, u) for u in faces]
     split = np.array([len(c) >= 2 for c in comps_by_u], dtype=bool)
-    out = []
-    for pos in np.flatnonzero(split[inverse]):
-        out.append((int(degrees[pos]), comps_by_u[inverse[pos]]))
-    return out
+    return [(int(degrees[pos]), comps_by_u[inverse[pos]]) for pos in np.flatnonzero(split[inverse])]

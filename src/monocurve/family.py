@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -252,17 +253,19 @@ def hs3_sweep(q_max, ab_max):
     """(triples checked, disagreements) of the :func:`hs3_agree` check over
     coprime a, b with a + b <= ab_max and every q from the criterion's
     threshold to q_max, the semigroups evaluated in batches; each
-    disagreement is a dict with keys q, a, b, lemma_ci and mu."""
-    triples = [(q, a, s - a) for s in range(2, ab_max + 1) for a in range(1, s)
-               if math.gcd(a, s - a) == 1
-               for q in range(_hs3_min_q(a, s - a), q_max + 1)]
-    specs = (normalize((q, q + a, q + a + b)) for q, a, b in triples)
-    bad = []
+    disagreement is a dict with keys q, a, b, lemma_ci and mu. Triples are
+    made as the batches consume them, so memory stays flat in q_max."""
+    triples, again = itertools.tee(
+        (q, a, s - a) for s in range(2, ab_max + 1) for a in range(1, s)
+        if math.gcd(a, s - a) == 1 for q in range(_hs3_min_q(a, s - a), q_max + 1))
+    specs = (normalize((q, q + a, q + a + b)) for q, a, b in again)
+    checked, bad = 0, []
     for (q, a, b), (_, table) in zip(triples, _tabled(specs)):
+        checked += 1
         lemma = ci_check_3gen(q, a, b)
         if lemma != (table.mu == 2):
             bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": table.mu})
-    return len(triples), bad
+    return checked, bad
 
 
 def _require_theorem_hypotheses(F: FamilySpec):

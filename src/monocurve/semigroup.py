@@ -130,15 +130,6 @@ class MembershipTable:
         m //= self.content
         return m >= int(self.ap[m % self.modulus])
 
-    def member_mask(self, xs):
-        """:meth:`contains` over an int64 array; negative entries are not members."""
-        if self.content == 1:  # a whole semigroup: no division needed
-            return xs >= self.ap[xs % self.modulus]
-        if not self.content:
-            return xs == 0
-        reduced = xs // self.content
-        return (xs % self.content == 0) & (reduced >= self.ap[reduced % self.modulus])
-
     def frobenius(self):
         """Largest integer outside ⟨generators/d⟩; -1 if there is none."""
         return int(self.ap.max()) - self.modulus
@@ -169,8 +160,7 @@ class SemigroupSpec:
     input was already coprime. Construct through :func:`normalize`.
     """
 
-    __slots__ = ("generators", "content", "reduced", "removed_duplicates",
-                 "_subsemigroups", "_cache")
+    __slots__ = ("generators", "content", "reduced", "removed_duplicates", "_cache")
 
     def __init__(self, generators, content=1, removed_duplicates=()):
         generators = tuple(int(a) for a in generators)
@@ -189,7 +179,6 @@ class SemigroupSpec:
         self.content = int(content)
         self.reduced = self.content == 1
         self.removed_duplicates = tuple(removed_duplicates)
-        self._subsemigroups = {}
         self._cache = {}
 
     def __repr__(self):
@@ -212,12 +201,10 @@ class SemigroupSpec:
 
     def subsemigroup(self, indices):
         """Membership table for the generators at the given 0-based indices."""
-        key = tuple(sorted(indices))
-        oracle = self._subsemigroups.get(key)
-        if oracle is None:
-            oracle = MembershipTable(tuple(self.generators[i] for i in key))
-            self._subsemigroups[key] = oracle
-        return oracle
+        key = ("sub", tuple(sorted(indices)))
+        if key not in self._cache:
+            self._cache[key] = MembershipTable(tuple(self.generators[i] for i in key[1]))
+        return self._cache[key]
 
 def normalize(raw) -> SemigroupSpec:
     """Sort, divide out the gcd, and drop exact duplicates.

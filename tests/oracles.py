@@ -20,7 +20,8 @@ ranks (``reduced_homology_ranks``, through the package's rank route), mu from
 completeness of a binomial set (``verify_generates``), the family member
 at a row label (``shift_sequence``), kernel membership cross-checked in the
 shifted family's rearranged form (``shifted_kernel_member``), and a
-membership table read out over 0..bound (``member_array``).
+membership table read out over 0..bound from its Apéry array
+(``member_array``).
 """
 
 import functools
@@ -314,7 +315,11 @@ def shift_sequence(F: FamilySpec, j) -> SemigroupSpec:
 
 def member_array(table, bound):
     """Membership of 0..bound in a ``MembershipTable``, as a numpy bool array."""
-    return table.member_mask(np.arange(bound + 1, dtype=np.int64))
+    xs = np.arange(bound + 1, dtype=np.int64)
+    if not table.content:  # the empty set generates {0}
+        return xs == 0
+    reduced = xs // table.content
+    return (xs % table.content == 0) & (reduced >= table.ap[reduced % table.modulus])
 
 
 def shifted_kernel_member(S: SemigroupSpec, v, shifted) -> bool:

@@ -367,6 +367,31 @@ def test_patterns_decomposed_once_per_semigroup(monkeypatch):
     assert passes == [2, 2, 2]
 
 
+@pytest.mark.parametrize("bound", [None, 40])
+def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound):
+    raws = [(23, 25, 28, 33), (30, 32, 35, 40), (5, 7, 9, 11), (12, 13, 17, 19)]
+    singles = [normalize(r) for r in raws]
+    alone = [graded_betti(S, bound) for S in singles]
+    batch = [normalize(r) for r in raws]
+    assert len(list(batches(batch))) == 1
+    graded_betti(batch[0], bound)  # tabled at this bound
+    graded_betti(batch[2], 90 if bound == 40 else 40)  # tabled at another bound
+    passes = []
+    original = betti._pattern_pass
+
+    def counted(specs, bounds):
+        passes.append([S.generators for S in specs])
+        return original(specs, bounds)
+
+    monkeypatch.setattr(betti, "_pattern_pass", counted)
+    assert betti_tables(batch, bound) == alone
+    assert passes == [[raws[1], raws[2], raws[3]]]
+    for S, single in zip(batch, singles):
+        b = default_bound(S) if bound is None else bound
+        assert _patterns(S, b) == _patterns(single, b), S
+    assert len(passes) == 1
+
+
 def test_errors_name_generators_degree_and_check(monkeypatch):
     original = betti._skeleton_components
     monkeypatch.setattr(betti, "_skeleton_components", lambda n, u: original(n, u) + (0,))
@@ -385,7 +410,7 @@ def test_batch_errors_name_a_member_carrying_the_complex(monkeypatch):
     first, second = (23, 25, 28, 33), (30, 32, 35, 40)
     own = set(degree_patterns(normalize(second), default_bound(normalize(second)))[1])
     own -= set(degree_patterns(normalize(first), default_bound(normalize(first)))[1])
-    target = next(u for u in sorted(own) if betti._vertex_count(4, u) >= 1)
+    target = next(u for u in sorted(own) if betti._skeleton_components(4, u))
     original = betti._skeleton_components
     monkeypatch.setattr(betti, "_skeleton_components",
                         lambda n, u: original(n, u) + ((0,) if u == target else ()))

@@ -1,14 +1,16 @@
 import concurrent.futures
 import os
+import tracemalloc
 
 import pytest
 
+from monocurve import family
 from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
                                  minimal_generators)
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
-                              ci_check_3gen, detect_period,
+                              ci_check_3gen, detect_period, hs3_sweep,
                               is_complete_intersection, scan,
                               verify_theorem_a, verify_theorem_b, worker_count)
 from monocurve.semigroup import normalize
@@ -295,3 +297,26 @@ def test_theorem_checks_refuse_triples_with_common_factor(abc):
         verify_theorem_b(F, F.period ** 3, F.period ** 3 + 1)
     with pytest.raises(HypothesisNotMetError, match=r"gcd\(a,b,c\) = \d"):
         verify_theorem_a(F, n_max=1)
+
+
+def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
+    # (1000, 12) and (4000, 12) share their first batch; a list of all the
+    # triples would cost about 100 bytes per triple before it is evaluated
+    class FirstBatch(Exception):
+        pass
+
+    def stop(chunk):
+        raise FirstBatch(len(chunk))
+
+    monkeypatch.setattr(family, "betti_tables", stop)
+    peaks = []
+    for q_max in (1000, 4000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBatch) as first:
+                hs3_sweep(q_max, 12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert first.value.args[0] > 1
+    assert peaks[1] < peaks[0] + 200_000, peaks
