@@ -44,7 +44,7 @@ the per-table checks stay per semigroup. A batch of one is the same code.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ _RANKS_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
 _COMPONENTS_MEMO: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-@dataclass(frozen=True)
-class GradedBettiTable:
+class GradedBettiTable(NamedTuple):
     """Rows m -> (beta_{0,m},…,beta_{n,m}), all-zero rows omitted, and column totals."""
 
     rows: dict[int, tuple[int, ...]]
@@ -250,6 +249,9 @@ def _pattern_pass(specs, bounds):
     """
     n = specs[0].n
     nfaces = 1 << n
+    for S, bound in zip(specs, bounds):
+        if bound < 0:
+            raise InvalidInputError(f"generators {S.generators}: bound {bound} is negative")
     tables = [S.membership for S in specs]
     if any(t.content != 1 for t in tables):
         raise MustNormalizeError("Betti degrees require coprime generators")
@@ -261,7 +263,7 @@ def _pattern_pass(specs, bounds):
     # even face masks are the subsets of {2..n}
     cand = ap[:, None] + sums[ap_owner, 0::2]
     span = int(cand.max()) + 1
-    limit = np.array([min(max(int(b), -1), span) for b in bounds], dtype=np.int64)
+    limit = np.array([min(int(b), span) for b in bounds], dtype=np.int64)
     keys = np.sort((cand + (ap_owner * span)[:, None])[cand <= limit[ap_owner, None]])
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]

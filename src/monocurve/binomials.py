@@ -11,7 +11,7 @@ adjacent, and each degree contributes (components - 1) connecting binomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import betti
 from .errors import (DegenerateInputError, InternalBoundError,
@@ -28,8 +28,7 @@ def _monomial_str(exponents):
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True, slots=True)
-class Binomial:
+class Binomial(NamedTuple):
     """x^plus - x^minus with disjoint supports."""
 
     plus: Factorization
@@ -81,8 +80,7 @@ def binomial_from_vector(v, gens) -> Binomial:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CriticalWitness:
+class CriticalWitness(NamedTuple):
     """Least exponent alpha with alpha*a_var in the span of the other generators.
 
     ``var`` is 1-based as in x1..xn; ``complement`` is a full-length

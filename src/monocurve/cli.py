@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 
 from .betti import graded_betti
 from .binomials import full_critical_set, minimal_generators
@@ -211,7 +210,7 @@ def _cmd_scan(args):
 def _cmd_verify_theorem_a(args):
     F = FamilySpec(*args.abc)
     report = verify_theorem_a(F, args.n_max, include_t=args.include_t)
-    rows = [{**asdict(r), "ok": r.agrees} for r in report.rows]
+    rows = [{**r._asdict(), "ok": r.agrees} for r in report.rows]
     payload = {"family": _family_dict(F), "n_max": args.n_max,
                "include_t": args.include_t, "rows": rows,
                "counterexamples": [r for r in rows if not r["ok"]],
@@ -232,7 +231,7 @@ def _cmd_verify_theorem_a(args):
 def _cmd_verify_theorem_b(args):
     F = FamilySpec(*args.abc)
     report = verify_theorem_b(F, args.j_min, args.j_max, jobs=_effective_jobs(args))
-    rows = [{**asdict(r), "ok": r.agrees} for r in report.rows]
+    rows = [{**r._asdict(), "ok": r.agrees} for r in report.rows]
     payload = {"family": _family_dict(F), "j_min": report.j_min, "j_max": report.j_max,
                "rows": rows, "counterexamples": [r for r in rows if not r["ok"]],
                "passed": report.passed}

@@ -18,8 +18,8 @@ import io
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from importlib.resources import files
+from typing import NamedTuple
 
 from .betti import batches, betti_tables, graded_betti
 from .binomials import (Binomial, binomial_from_vector, ideal_equivalent,
@@ -29,8 +29,14 @@ from .errors import (HypothesisNotMetError, InsufficientDataError,
 from .semigroup import SemigroupSpec, normalize
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _Family(NamedTuple):
+    a: int
+    b: int
+    c: int
+    offset: int = 1
+
+
+class FamilySpec(_Family):
     """Base triple (a, b, c) plus the row-labeling offset.
 
     Structure flags are recomputed from the triple: ``p_c`` is the integer p
@@ -38,24 +44,27 @@ class FamilySpec:
     conjectured period of the Betti data is a+b+c.
     """
 
-    a: int
-    b: int
-    c: int
-    offset: int = 1
-    p_c: int | None = field(init=False)
-    p_a: int | None = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
+    def __new__(cls, a, b, c, offset=1):
+        if min(a, b, c) < 1:
             raise InvalidInputError("family base entries must be positive")
-        if self.offset not in (0, 1):
+        if offset not in (0, 1):
             raise InvalidInputError("offset must be 0 or 1")
-        object.__setattr__(self, "p_c",
-                           self.c // (self.a + self.b)
-                           if self.c % (self.a + self.b) == 0 else None)
-        object.__setattr__(self, "p_a",
-                           self.a // (self.b + self.c)
-                           if self.a % (self.b + self.c) == 0 else None)
+        return super().__new__(cls, a, b, c, offset)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
+
+    @property
+    def p_c(self):
+        return self.c // (self.a + self.b) if self.c % (self.a + self.b) == 0 else None
+
+    @property
+    def p_a(self):
+        return self.a // (self.b + self.c) if self.a % (self.b + self.c) == 0 else None
 
     @property
     def period(self):
@@ -66,8 +75,7 @@ class FamilySpec:
         return (s, self.a + s, self.a + self.b + s, self.a + self.b + self.c + s)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     j: int
     raw_generators: tuple[int, ...]
     generators: tuple[int, ...]
@@ -77,15 +85,13 @@ class ScanRow:
     ci: bool
 
 
-@dataclass(frozen=True)
-class PeriodInfo:
+class PeriodInfo(NamedTuple):
     j0: int
     length: int
     window: tuple[int, int]
 
 
-@dataclass
-class FamilyScanReport:
+class FamilyScanReport(NamedTuple):
     family: FamilySpec
     j_min: int
     j_max: int
@@ -153,7 +159,7 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
                         range(j_min, j_max + 1), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
-        report.period = detect_period(report)
+        report = report._replace(period=detect_period(report))
     return report
 
 
@@ -254,7 +260,8 @@ def hs3_sweep(q_max, ab_max):
     coprime a, b with a + b <= ab_max and every q from the criterion's
     threshold to q_max, the semigroups evaluated in batches; each
     disagreement is a dict with keys q, a, b, lemma_ci and mu. Triples are
-    made as the batches consume them, so memory stays flat in q_max."""
+    made as the batches consume them, so memory stays flat in q_max. A sweep
+    with no triple to check is refused rather than reported as a pass."""
     triples, again = itertools.tee(
         (q, a, s - a) for s in range(2, ab_max + 1) for a in range(1, s)
         if math.gcd(a, s - a) == 1 for q in range(_hs3_min_q(a, s - a), q_max + 1))
@@ -265,6 +272,9 @@ def hs3_sweep(q_max, ab_max):
         lemma = ci_check_3gen(q, a, b)
         if lemma != (table.mu == 2):
             bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": table.mu})
+    if not checked:
+        raise InvalidInputError(f"no triple to check: no coprime a, b with a + b <= "
+                                f"ab_max={ab_max} has max(ab+b^2, ab+a^2) <= q_max={q_max}")
     return checked, bad
 
 
@@ -283,8 +293,7 @@ def _require_theorem_hypotheses(F: FamilySpec):
             "checked only for gcd(a,b,c) = 1")
 
 
-@dataclass(frozen=True)
-class TheoremBRow:
+class TheoremBRow(NamedTuple):
     j: int
     generators: tuple[int, ...]
     ci: bool
@@ -295,8 +304,7 @@ class TheoremBRow:
         return self.ci == self.divisible
 
 
-@dataclass(frozen=True)
-class TheoremBReport:
+class TheoremBReport(NamedTuple):
     family: FamilySpec
     j_min: int
     j_max: int
@@ -343,8 +351,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
                           rows=rows, counterexamples=bad)
 
 
-@dataclass(frozen=True)
-class TheoremARow:
+class TheoremARow(NamedTuple):
     case: str
     n: int
     t: int | None
@@ -359,8 +366,7 @@ class TheoremARow:
         return self.mu == self.expected_mu and self.ideal_matches is not False
 
 
-@dataclass(frozen=True)
-class TheoremAReport:
+class TheoremAReport(NamedTuple):
     family: FamilySpec
     n_max: int
     rows: list[TheoremARow]
@@ -441,8 +447,7 @@ _EXAMPLES = {
 }
 
 
-@dataclass
-class TableCheck:
+class TableCheck(NamedTuple):
     example: int
     family: FamilySpec
     expected: dict[int, tuple[int, ...]]

@@ -16,7 +16,7 @@ divided out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ MAX_CELLS = 1 << 22
 UNREACHABLE = 1 << 62
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Exponent vector of a monomial preimage of degree ``degree``.
 
     Invariant: sum(exponents[i] * generators[i]) == degree for the semigroup

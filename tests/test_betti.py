@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocurve import betti, semigroup
-from monocurve.betti import (batches, betti_tables, default_bound,
-                             degree_patterns, graded_betti, integer_matrix_rank)
+from monocurve.betti import (GradedBettiTable, batches, betti_tables,
+                             default_bound, degree_patterns, graded_betti,
+                             integer_matrix_rank)
+from monocurve.binomials import minimal_generators
 from monocurve.errors import (InvalidInputError, MonocurveError,
                               MustNormalizeError, OutOfRangeError)
 from monocurve.family import FamilySpec, is_complete_intersection, verify_theorem_b
@@ -201,6 +203,20 @@ def test_bound_override_truncates():
     S = normalize((30, 32, 35, 40))
     t = graded_betti(S, bound=150)
     assert {m for m, r in t.rows.items() if r[1]} == {70, 120}
+
+
+def test_negative_bound_is_refused_and_zero_is_legal():
+    S = normalize((3, 5))
+    for call in (lambda: graded_betti(S, bound=-5),
+                 lambda: betti_tables([S, normalize((4, 7)), normalize((5, 9))], -1),
+                 lambda: degree_patterns(S, -1),
+                 lambda: minimal_generators(S, bound=-1)):
+        with pytest.raises(InvalidInputError, match=r"generators \(3, 5\): bound -\d+ is negative"):
+            call()
+    assert not any(key[-1] < 0 for key in S._cache if key[0] in ("table", "patterns"))
+    assert graded_betti(S, bound=0) == GradedBettiTable(rows={0: (1, 0, 0)}, totals=(1, 0, 0))
+    assert minimal_generators(S, bound=0) == ([], 0)
+    assert degree_patterns(S, 0)[0].tolist() == [0]
 
 
 def test_b1_equals_components_minus_one():
@@ -481,7 +497,7 @@ def _patterns(S, bound):
     return degrees.tolist(), faces, inverse.tolist(), counts.tolist()
 
 
-@given(_raw_batches(), st.sampled_from((None, -1, 0, 40, 90)),
+@given(_raw_batches(), st.sampled_from((None, 0, 40, 90)),
        st.sampled_from((1, 64, 1 << 14)))
 @settings(max_examples=100, deadline=None)
 def test_batch_of_many_equals_batches_of_one(raws, bound, budget):

@@ -161,6 +161,39 @@ def test_default_commands_load_no_pool_or_diff_modules():
         assert loaded == [], (argv, loaded)
 
 
+@pytest.mark.parametrize("argv, names", [
+    ("verify hs3 --q-max 200 --ab-max 1", ["q_max=200", "ab_max=1"]),
+    ("verify hs3 --q-max -3", ["q_max=-3", "ab_max=12"]),
+    ("betti --gens 3,5 --bound-override -5", ["(3, 5)", "bound -5"]),
+    ("gens --gens 3,5 --bound-override -5", ["(3, 5)", "bound -5"]),
+])
+def test_input_that_checks_nothing_exits_1(argv, names):
+    for fmt in ("csv", "json", "pretty"):
+        code, out, err = run_cli(argv.split() + ["--format", fmt])
+        assert (code, out) == (1, ""), (argv, fmt)
+        assert err.startswith("monocurve: error: ")
+        assert all(name in err for name in names), err
+
+
+def test_bound_override_zero_is_legal():
+    assert run_cli(["betti", "--gens", "3,5", "--bound-override", "0"])[:2] == \
+        (0, "(1, 0, 0)\n")
+    assert run_cli(["gens", "--gens", "3,5", "--bound-override", "0"])[:2] == (0, "mu = 0\n")
+
+
+def test_cli_import_adds_no_dataclasses_module():
+    # numpy first, so that only what monocurve itself brings in is counted
+    script = ("import json, sys, numpy\n"
+              "before = set(sys.modules)\n"
+              "import monocurve.cli\n"
+              "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    added = json.loads(done.stdout)
+    assert "monocurve.family" in added
+    assert not [m for m in added if m.split(".")[0] == "dataclasses"], added
+
+
 def test_betti_jobs_env_default(monkeypatch):
     argv = ["scan", "--abc", "2,3,5", "--from", "22", "--to", "25", "--format", "csv"]
     _, base, _ = run_cli(argv)

@@ -299,6 +299,17 @@ def test_theorem_checks_refuse_triples_with_common_factor(abc):
         verify_theorem_a(F, n_max=1)
 
 
+@pytest.mark.parametrize("q_max, ab_max", [(200, 1), (-3, 12), (1, 12), (2, 1)])
+def test_hs3_sweep_with_no_triple_is_refused(q_max, ab_max):
+    # a + b <= 1 leaves no pair, and the least threshold, at a = b = 1, is 2
+    with pytest.raises(InvalidInputError, match=f"ab_max={ab_max} .* q_max={q_max}"):
+        hs3_sweep(q_max, ab_max)
+
+
+def test_hs3_sweep_at_the_least_threshold_checks_one_triple():
+    assert hs3_sweep(2, 2) == (1, [])
+
+
 def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
     # (1000, 12) and (4000, 12) share their first batch; a list of all the
     # triples would cost about 100 bytes per triple before it is evaluated
