@@ -16,8 +16,8 @@ from typing import NamedTuple
 from . import betti
 from .errors import (DegenerateInputError, InternalBoundError,
                      InvalidInputError, MonocurveError)
-from .semigroup import (Factorization, SemigroupSpec, canonical_factorization,
-                        canonical_key, factorizations)
+from .semigroup import (Factorization, SemigroupSpec, as_integer,
+                        canonical_factorization, canonical_key, factorizations)
 
 LatticeVector = tuple[int, ...]
 
@@ -55,7 +55,7 @@ class Binomial(NamedTuple):
 
 def kernel_member(S: SemigroupSpec, v) -> bool:
     """True iff v is orthogonal to the generators."""
-    v = tuple(int(x) for x in v)
+    v = tuple(as_integer(x, "vector entry") for x in v)
     if len(v) != S.n:
         raise InvalidInputError("vector length does not match generator count")
     return sum(x * a for x, a in zip(v, S.generators)) == 0
@@ -67,7 +67,7 @@ def binomial_from_vector(v, gens) -> Binomial:
     The positive part becomes plus, the negated negative part becomes minus,
     so supports are disjoint by construction and vector() round-trips exactly.
     """
-    v = tuple(int(x) for x in v)
+    v = tuple(as_integer(x, "vector entry") for x in v)
     if len(v) != len(gens):
         raise InvalidInputError("vector length does not match generator count")
     if not any(v):

@@ -26,7 +26,7 @@ from .binomials import (Binomial, binomial_from_vector, ideal_equivalent,
                         kernel_member, minimal_generators)
 from .errors import (HypothesisNotMetError, InsufficientDataError,
                      InvalidInputError, MonocurveError, OutOfRangeError)
-from .semigroup import SemigroupSpec, normalize
+from .semigroup import SemigroupSpec, as_integer, normalize
 
 
 class _Family(NamedTuple):
@@ -47,6 +47,7 @@ class FamilySpec(_Family):
     __slots__ = ()
 
     def __new__(cls, a, b, c, offset=1):
+        a, b, c, offset = map(as_integer, (a, b, c, offset), ("a", "b", "c", "offset"))
         if min(a, b, c) < 1:
             raise InvalidInputError("family base entries must be positive")
         if offset not in (0, 1):
@@ -152,7 +153,7 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     Rows are independent; with jobs > 1 they are computed in worker processes
     and collected in j order, so the worker count never changes the result.
     """
-    j_min, j_max = int(j_min), int(j_max)
+    j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     if j_min < 1 or j_min > j_max:
         raise InvalidInputError("need 1 <= j_min <= j_max")
     rows = _map_ordered(functools.partial(_scan_rows, F.a, F.b, F.c, F.offset),
@@ -224,7 +225,7 @@ def ci_check_3gen(q, a, b) -> bool:
     nonnegative integer solution. For coprime a, b this must collapse to
     (a+b) | q, which is asserted.
     """
-    q, a, b = int(q), int(a), int(b)
+    q, a, b = as_integer(q, "q"), as_integer(a, "a"), as_integer(b, "b")
     if min(q, a, b) < 1:
         raise InvalidInputError("q, a, b must be positive")
     if math.gcd(q, a, b) != 1:
@@ -338,7 +339,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
     any counterexample verbatim.
     """
     _require_theorem_hypotheses(F)
-    j_min, j_max = int(j_min), int(j_max)
+    j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     cube = F.period ** 3
     if j_min < cube:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
@@ -410,7 +411,7 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     gcd(a,b,c) > 1 are refused, as in :func:`verify_theorem_b`.
     """
     _require_theorem_hypotheses(F)
-    n_max = int(n_max)
+    n_max = as_integer(n_max, "n_max")
     if n_max < 1:
         raise InvalidInputError("n_max must be at least 1")
     a, b, c = F.a, F.b, F.c

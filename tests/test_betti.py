@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -351,6 +352,14 @@ def test_batches_keep_sort_keys_below_2_62():
     specs = [normalize((3, (1 << 58) + 3 * k + 1)) for k in range(12)]
     assert [len(chunk) for chunk in batches(specs)] == [2] * 6
     assert betti_tables(specs) == [graded_betti(normalize(S.generators)) for S in specs]
+    # a bound of 2**59 keeps each member's candidates 0 and an and cuts 2an
+    # and 3an, whose keys are moved above every kept key of the pair
+    bound = 1 << 59
+    alone = [normalize(S.generators) for S in specs]
+    assert betti_tables(specs, bound) == [graded_betti(S, bound) for S in alone]
+    for S, single in zip(specs, alone):
+        assert _patterns(S, bound) == _patterns(single, bound)
+        assert _patterns(S, bound)[0] == [0, S.generators[1]]
 
 
 def test_batch_refuses_mixed_generator_counts():
@@ -520,3 +529,23 @@ def test_batch_of_many_equals_batches_of_one(raws, bound, budget):
         if S.n <= 4 and S.generators[0] <= 12:
             b = default_bound(S) if bound is None else bound
             assert list(table.rows.items()) == list(_full_scan_rows(S, b).items()), raw
+
+
+@pytest.mark.parametrize("gens", [
+    (100000, 100002, 100005, 100010),
+    (20000, 20002, 20005, 20009, 20014, 20020),
+    (4096, 4097, 4098, 4099, 4100, 4101, 4102, 4103),
+])
+def test_pass_peak_memory_per_candidate_cell(gens):
+    # the pass holds one candidate-sized int64 array at a time, with a byte
+    # per cell of mask: about 12 bytes per cell for n = 4 and 10 for n = 6
+    # and 8, where a second candidate-sized array would pass 16
+    S = normalize(gens)
+    default_bound(S)  # the Apéry table is built outside the measurement
+    tracemalloc.start()
+    try:
+        graded_betti(S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (S.generators[0] << (S.n - 1)) <= 16

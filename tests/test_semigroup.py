@@ -1,10 +1,18 @@
+import re
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monocurve import semigroup
+from monocurve.betti import graded_betti
+from monocurve.binomials import binomial_from_vector, kernel_member, minimal_generators
 from monocurve.errors import (InvalidInputError, InvalidPivotError,
                               MustNormalizeError, OutOfRangeError)
+from monocurve.family import (FamilySpec, ci_check_3gen, scan,
+                              verify_theorem_a, verify_theorem_b)
 from monocurve.semigroup import (MAX_CELLS, MembershipTable, SemigroupSpec,
                                  apery, canonical_factorization, canonical_key,
                                  contains, factorizations, frobenius,
@@ -51,6 +59,52 @@ def test_normalize_rejects_bad_input():
         normalize((4, 4))  # single distinct generator after dedup
     with pytest.raises(InvalidInputError):
         normalize(tuple(range(10, 19)))  # nine distinct generators
+
+
+S35 = normalize((3, 5))
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(lambda: normalize((3.7, 5.2)), "3.7", id="normalize"),
+    pytest.param(lambda: normalize((3, "5")), "'5'", id="normalize-str"),
+    pytest.param(lambda: SemigroupSpec((3, 5), content=1.5), "1.5", id="SemigroupSpec"),
+    pytest.param(lambda: contains(S35, 7.9), "7.9", id="contains"),
+    pytest.param(lambda: contains(S35, Fraction(8)), "Fraction(8, 1)", id="contains-fraction"),
+    pytest.param(lambda: apery(S35, 5.0), "5.0", id="apery"),
+    pytest.param(lambda: factorizations(S35, 8.0), "8.0", id="factorizations"),
+    pytest.param(lambda: canonical_factorization(S35, 8.5), "8.5",
+                 id="canonical_factorization"),
+    pytest.param(lambda: graded_betti(S35, 40.5), "40.5", id="graded_betti"),
+    pytest.param(lambda: (graded_betti(S35, 40), graded_betti(S35, 40.0)), "40.0",
+                 id="graded_betti-cached"),
+    pytest.param(lambda: minimal_generators(S35, 15.5), "15.5", id="minimal_generators"),
+    pytest.param(lambda: kernel_member(S35, (5, -3.0)), "-3.0", id="kernel_member"),
+    pytest.param(lambda: binomial_from_vector((5.5, -3), (3, 5)), "5.5",
+                 id="binomial_from_vector"),
+    pytest.param(lambda: ci_check_3gen(20.5, 1, 3), "20.5", id="ci_check_3gen"),
+    pytest.param(lambda: FamilySpec(2.5, 3, 5), "2.5", id="FamilySpec"),
+    pytest.param(lambda: FamilySpec(2, 3, 5, offset=1.0), "1.0", id="FamilySpec-offset"),
+    pytest.param(lambda: FamilySpec(2, 3, 5)._replace(c=5.0), "5.0", id="FamilySpec-replace"),
+    pytest.param(lambda: scan(FamilySpec(2, 3, 5), 22.5, 24), "22.5", id="scan"),
+    pytest.param(lambda: verify_theorem_b(FamilySpec(1, 1, 2), 64, 64.5), "64.5",
+                 id="verify_theorem_b"),
+    pytest.param(lambda: verify_theorem_a(FamilySpec(2, 3, 5), 1.5), "1.5", id="verify_theorem_a"),
+])
+def test_non_integral_input_is_refused_not_truncated(call, bad):
+    with pytest.raises(InvalidInputError, match=f"must be an integer, got {re.escape(bad)}$"):
+        call()
+
+
+def test_numpy_integers_are_read_as_ints():
+    S = normalize(np.array([12, 20, 30]))
+    assert S.generators == (6, 10, 15) and S.content == 2
+    assert all(type(a) is int for a in S.generators)
+    assert contains(S, np.int64(30)) and not contains(S, np.uint16(29))
+    assert factorizations(S, np.int32(30)) == factorizations(S, 30)
+    assert graded_betti(S, np.int64(40)) == graded_betti(S, 40)
+    F = FamilySpec(np.int64(2), np.int8(3), 5)
+    assert F == (2, 3, 5, 1) and all(type(v) is int for v in F)
+    assert ci_check_3gen(np.int64(20), 1, 3) == ci_check_3gen(20, 1, 3)
 
 
 def test_contains_small_cases():
