@@ -3,8 +3,8 @@ numerical semigroup families."""
 
 from .betti import GradedBettiTable, betti_tables, default_bound, graded_betti
 from .binomials import (Binomial, CriticalWitness, binomial_from_vector,
-                        critical_exponent, full_critical_set, ideal_equivalent,
-                        kernel_member, minimal_generators, reduces_to_zero)
+                        critical_exponent, full_critical_set, generates,
+                        kernel_member, minimal_generators)
 from .errors import (DegenerateInputError, HypothesisNotMetError,
                      InsufficientDataError, InternalBoundError,
                      InvalidInputError, InvalidPivotError, MonocurveError,
@@ -15,6 +15,6 @@ from .family import (FamilyScanReport, FamilySpec, PeriodInfo, ScanRow,
                      is_complete_intersection, reproduce_table, scan,
                      verify_theorem_a, verify_theorem_b)
 from .semigroup import (Factorization, MembershipTable, SemigroupSpec, apery,
-                        contains, factorizations, frobenius, normalize)
+                        contains, frobenius, normalize)
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Numerical semigroups ⟨a1,…,an⟩: membership, Frobenius numbers, Apéry sets,
-and factorization enumeration.
+and canonical factorizations found by greedy search.
 
 Everything here is exact integer arithmetic. Membership lives in the Apéry
 set Ap(S, q), the least member of S in each residue class mod q, stored as an
@@ -124,6 +124,7 @@ class MembershipTable:
     __slots__ = ("content", "modulus", "ap", "_frobenius")
 
     def __init__(self, generators):
+        generators = tuple(as_integer(a, "generator") for a in generators)
         if any(a <= 0 for a in generators):
             raise InvalidInputError("generators must be positive integers")
         if generators:
@@ -272,49 +273,6 @@ def apery(S: SemigroupSpec, x) -> set[int]:
     if math.gcd(*S.generators) != 1:
         raise MustNormalizeError("Apery sets require coprime generators")
     return set(apery_array(S.generators, x).tolist())
-
-
-def factorizations(S: SemigroupSpec, m) -> tuple[Factorization, ...]:
-    """All exponent vectors v with sum(v[i]*a[i]) == m, in lexicographic order.
-
-    Empty iff m is not in S. The final two coordinates are solved as an
-    arithmetic progression instead of a loop, which keeps desk-scale degrees
-    cheap even when the leading exponents range into the hundreds.
-    """
-    m = as_integer(m, "m")
-    if m < 0:
-        raise InvalidInputError("degree must be nonnegative")
-    gens = S.generators
-    n = len(gens)
-    out: list[Factorization] = []
-    prefix = [0] * n
-
-    def last_two(rem):
-        a, b = gens[n - 2], gens[n - 1]
-        g = math.gcd(a, b)
-        if rem % g:
-            return
-        a1, b1, r1 = a // g, b // g, rem // g
-        x = (r1 * pow(a1, -1, b1)) % b1 if b1 > 1 else 0
-        while a * x <= rem:
-            prefix[n - 2] = x
-            prefix[n - 1] = (rem - a * x) // b
-            out.append(Factorization(tuple(prefix), m))
-            x += b1
-        prefix[n - 2] = prefix[n - 1] = 0
-
-    def rec(idx, rem):
-        if idx == n - 2:
-            last_two(rem)
-            return
-        a = gens[idx]
-        for k in range(rem // a + 1):
-            prefix[idx] = k
-            rec(idx + 1, rem - k * a)
-        prefix[idx] = 0
-
-    rec(0, m)
-    return tuple(out)
 
 
 def canonical_factorization(S: SemigroupSpec, m, allowed=None):

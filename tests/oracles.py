@@ -2,14 +2,16 @@
 
 Everything here favors obviousness over speed: membership by forward dynamic
 programming over a list, factorizations by bare recursion, matrix rank by
-Fraction Gaussian elimination, and minimal-generator counts by building the
-full factorization graph of every degree.
+Fraction Gaussian elimination, minimal-generator counts by building the full
+factorization graph of every degree, and ideal membership by walking whole
+fibers under the moves of a binomial set (``move_components``,
+``reduces_to_zero``, ``ideal_equivalent``), the reference that
+``binomials.generates`` is compared against.
 
-Two oracles reuse package pieces that are themselves tested against the ones
-above. ``full_complex_ranks`` takes homology on every face of the complex,
-with ranks by ``integer_matrix_rank`` (checked against ``fraction_rank``).
-``enumerate_generators`` builds the factorization graph of every member
-degree from ``factorizations`` (checked against ``brute_factorizations``) and
+Two oracles reuse package pieces. ``full_complex_ranks`` takes homology on
+every face of the complex, with ranks by ``integer_matrix_rank`` (checked
+against ``fraction_rank``). ``enumerate_generators`` builds the
+factorization graph of every member degree from ``brute_factorizations`` and
 returns package ``Binomial`` objects, so its output compares with
 ``minimal_generators`` as is.
 
@@ -33,10 +35,10 @@ import numpy as np
 from monocurve.betti import (_reduced_ranks, _skeleton_components,
                              default_bound, degree_patterns,
                              integer_matrix_rank)
-from monocurve.binomials import Binomial, _move_components, kernel_member
+from monocurve.binomials import Binomial, kernel_member
 from monocurve.errors import InvalidInputError, MonocurveError
 from monocurve.family import FamilySpec
-from monocurve.semigroup import (SemigroupSpec, canonical_key, factorizations,
+from monocurve.semigroup import (Factorization, SemigroupSpec, canonical_key,
                                  normalize)
 
 
@@ -192,7 +194,7 @@ def enumerate_generators(S, bound=None):
     for m in range(1, bound + 1):
         if not member[m]:
             continue
-        facts = factorizations(S, m)
+        facts = [Factorization(u, m) for u in brute_factorizations(S.generators, m)]
         parent = list(range(len(facts)))
 
         def find(i):
@@ -217,6 +219,53 @@ def enumerate_generators(S, bound=None):
                       key=lambda f: canonical_key(f.exponents))
         out.extend(Binomial(plus=reps[0], minus=other) for other in reps[1:])
     return out, len(out)
+
+
+def move_components(S, moves, m):
+    """Partition of the factorizations of m under the moves of a binomial set.
+
+    A move replaces x^plus by x^minus (or back) inside a monomial whenever it
+    divides; degreewise this is a walk on the fiber of m. Returns the
+    factorizations, their index, and the union-find root of an index.
+    """
+    facts = brute_factorizations(S.generators, m)
+    index = {u: i for i, u in enumerate(facts)}
+    parent = list(range(len(facts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    shifts = []
+    for g in moves:
+        if not g.is_homogeneous():
+            raise InvalidInputError(f"move {g} is not degree-preserving")
+        p, q = g.plus.exponents, g.minus.exponents
+        shifts += [(p, q), (q, p)]
+    for u in facts:
+        for p, q in shifts:
+            if all(a >= b for a, b in zip(u, p)):
+                w = tuple(a - b + c for a, b, c in zip(u, p, q))
+                parent[find(index[u])] = find(index[w])
+    return facts, index, find
+
+
+def reduces_to_zero(S, gens, binomial):
+    """Membership of a homogeneous binomial in the ideal the set generates."""
+    if not binomial.is_homogeneous():
+        raise InvalidInputError("binomial is not homogeneous")
+    if binomial.plus.exponents == binomial.minus.exponents:
+        return True
+    _, index, find = move_components(S, gens, binomial.plus.degree)
+    return find(index[binomial.plus.exponents]) == find(index[binomial.minus.exponents])
+
+
+def ideal_equivalent(S, gens_a, gens_b):
+    """Two homogeneous binomial sets generate the same ideal."""
+    return (all(reduces_to_zero(S, gens_a, g) for g in gens_b)
+            and all(reduces_to_zero(S, gens_b, g) for g in gens_a))
 
 
 def face(*variables):
@@ -296,7 +345,7 @@ def verify_generates(S: SemigroupSpec, gens, bound=None) -> bool:
         bound = default_bound(S)
     members = member_array(S.membership, bound)
     for m in np.flatnonzero(members).tolist():
-        facts, _, find = _move_components(S, gens, m)
+        facts, _, find = move_components(S, gens, m)
         if len(facts) < 2:
             continue
         root = find(0)

@@ -11,7 +11,7 @@ import random
 import time
 
 from monocurve.betti import default_bound, graded_betti
-from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
+from monocurve.binomials import (binomial_from_vector, generates,
                                  minimal_generators)
 from monocurve.cli import run as cli_run
 from monocurve.family import (FamilySpec, hs3_sweep, reproduce_table,
@@ -19,7 +19,7 @@ from monocurve.family import (FamilySpec, hs3_sweep, reproduce_table,
 from monocurve.semigroup import normalize
 
 from oracles import (brute_mu, divisor_complex, enumerate_generators,
-                     shifted_kernel_member, verify_generates)
+                     ideal_equivalent, shifted_kernel_member, verify_generates)
 
 KOSZUL = (1, 3, 3, 1, 0)
 
@@ -122,6 +122,8 @@ def test_criterion_5_theorem_a_spot_checks():
         binomials = [binomial_from_vector(v, S.generators) for v in vectors]
         if mu != 3 or not ideal_equivalent(S, gens, binomials):
             failures.append(("iii ideal_equivalent", j, mu))
+        if not generates(S, binomials):
+            failures.append(("iii generates", j))
 
     # case iii at the theorem's own scale: j = 16*256 + 4t >= (a+b+c)^3
     for t in (1, 2, 3):

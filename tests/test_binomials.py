@@ -1,17 +1,18 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monocurve.binomials import (binomial_from_vector, critical_exponent,
-                                 full_critical_set, ideal_equivalent,
-                                 kernel_member, minimal_generators,
-                                 reduces_to_zero)
+from monocurve.binomials import (Binomial, binomial_from_vector,
+                                 critical_exponent, full_critical_set,
+                                 generates, kernel_member, minimal_generators)
 from monocurve.errors import DegenerateInputError, InvalidInputError
-from monocurve.semigroup import factorizations, normalize
+from monocurve.semigroup import Factorization, normalize
 
-from oracles import (brute_generator_degrees, brute_mu, enumerate_generators,
+from oracles import (brute_factorizations, brute_generator_degrees, brute_mu,
+                     enumerate_generators, ideal_equivalent, reduces_to_zero,
                      shifted_kernel_member, verify_generates)
 
 
@@ -100,7 +101,7 @@ def test_full_critical_set_paper_family():
     assert texts == ["x1^4 - x4^3", "x2^5 - x1^3*x3^2", "x3^2 - x1*x4", "x4^3 - x1^4"]
     for g in full_critical_set(S):
         assert kernel_member(S, g.vector())
-        assert len(factorizations(S, g.plus.degree)) >= 2
+        assert len(brute_factorizations(S.generators, g.plus.degree)) >= 2
 
 
 def test_full_critical_set_two_generators():
@@ -119,7 +120,7 @@ def test_critical_set_properties_random(gens):
     for g in full_critical_set(S):
         assert g.is_homogeneous()
         assert kernel_member(S, g.vector())
-        assert len(factorizations(S, g.plus.degree)) >= 2
+        assert len(brute_factorizations(S.generators, g.plus.degree)) >= 2
 
 
 def test_minimal_generators_paper_family():
@@ -130,6 +131,8 @@ def test_minimal_generators_paper_family():
     expected = [binomial_from_vector(v, S.generators)
                 for v in [(4, 0, 0, -3), (-1, 0, 2, -1), (-3, 5, -2, 0)]]
     assert ideal_equivalent(S, gens, expected)
+    assert generates(S, expected)
+    assert not generates(S, expected[:-1])
 
 
 def test_minimal_generators_polynomial_ring_image():
@@ -196,6 +199,48 @@ def test_ideal_equivalence_detects_difference():
     S = normalize((30, 32, 35, 40))
     bs, _ = minimal_generators(S)
     assert not ideal_equivalent(S, bs[:-1], bs)
+
+
+def _times_x(S, g, i):
+    """x_i * g, a kernel binomial whose two sides share the variable x_i."""
+    def lift(f):
+        exps = tuple(e + (k == i) for k, e in enumerate(f.exponents))
+        return Factorization(exps, f.degree + S.generators[i])
+    return Binomial(plus=lift(g.plus), minus=lift(g.minus))
+
+
+@given(st.sets(st.integers(min_value=2, max_value=29), min_size=2, max_size=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_generates_matches_the_fiber_walk(raw, data):
+    S = normalize(tuple(raw))
+    gens, _ = minimal_generators(S)
+    k = data.draw(st.integers(0, len(gens) - 1), label="member")
+    i = data.draw(st.integers(0, S.n - 1), label="variable")
+    g, lifted = gens[k], _times_x(S, gens[k], i)
+    rest = gens[:k] + gens[k + 1:]
+    cases = [
+        ("minimal", gens, True),
+        ("dropped", rest, False),
+        ("lifted", rest + [lifted], False),
+        ("swapped", rest + [Binomial(plus=g.minus, minus=g.plus)], True),
+        ("extra", gens + [lifted], True),
+    ]
+    for name, B, expected in cases:
+        assert generates(S, B) == ideal_equivalent(S, gens, B) == expected, (S, name)
+
+
+def test_generates_refuses_binomials_outside_the_kernel():
+    S = normalize((30, 32, 35, 40))
+    gens, _ = minimal_generators(S)
+    uneven = binomial_from_vector((1, 0, 0, -1), S.generators)  # degrees 30 and 40
+    with pytest.raises(InvalidInputError, match=re.escape(f"binomial {uneven} is not homogeneous")):
+        generates(S, gens + [uneven])
+    # x3^2 - x1*x4 has degree 70 on both sides in S, and lies outside the kernel of T
+    T = normalize((30, 32, 35, 41))
+    foreign = binomial_from_vector((-1, 0, 2, -1), S.generators)
+    assert foreign.is_homogeneous() and not kernel_member(T, foreign.vector())
+    with pytest.raises(InvalidInputError, match=re.escape(f"binomial {foreign} is not in the kernel")):
+        generates(T, minimal_generators(T)[0] + [foreign])
 
 
 def test_three_generated_ci_criterion_cross_check():

@@ -377,6 +377,11 @@ GOLDEN_RENDERS = {
         "csv": (0, "4f80aa5c81c00548f0c43f67c6798932fa239be9b65ab99ee8446ac382d5bcea"),
         "json": (0, "134f9463b8494bf898be7530093ca05a448e6adc27d253e2a041287c2b858e5a"),
     },
+    "verify theorem-a --abc 2,3,5 --n-max 3": {
+        "pretty": (0, "8ffa97a9cb1315c6cfe128d9eec3994bcce1e3aabcc8a96fdc79e63c966134cb"),
+        "csv": (0, "edd6d7cc39682b258e5f4261a02f9d3eba45e748e41f51226707d66dfaa55445"),
+        "json": (0, "389760aa3e9f36aff4c5b6068b52d36fec439c358dac16d8b30d4bd5ba89f821"),
+    },
     "verify theorem-a --abc 12,3,1 --n-max 3": {
         "pretty": (2, "3860f1990a3f65aa11a3640b91477b19e74c22c0c5923a40364f252fef7d5535"),
         "csv": (2, "2e5daa9cc3878eb9c7e31609c42272fc43484daadddb0a2233b2e6981198b350"),
@@ -418,6 +423,7 @@ PAYLOAD_DEFS = {
     "gens --gens 30,32,35,40": "payload_gens",
     "critical --gens 30,32,35,40": "payload_critical",
     "scan --abc 2,3,5 --from 22 --to 51": "payload_scan",
+    "verify theorem-a --abc 2,3,5 --n-max 3": "payload_verify_theorem_a",
     "verify theorem-a --abc 12,3,1 --n-max 3": "payload_verify_theorem_a",
     "verify theorem-b --abc 2,3,5 --from 1000 --to 1005": "payload_verify_theorem_b",
     "verify hs3 --q 12 --a 1 --b 2": "payload_verify_hs3_single",

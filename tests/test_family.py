@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from monocurve import family
-from monocurve.binomials import (binomial_from_vector, ideal_equivalent,
+from monocurve.binomials import (binomial_from_vector, generates,
                                  minimal_generators)
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
@@ -15,7 +15,8 @@ from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               verify_theorem_a, verify_theorem_b, worker_count)
 from monocurve.semigroup import normalize
 
-from oracles import brute_mu, shift_sequence, shifted_kernel_member
+from oracles import (brute_mu, ideal_equivalent, shift_sequence,
+                     shifted_kernel_member)
 
 
 def test_structure_flags():
@@ -288,6 +289,7 @@ def test_theorem_b_fails_on_flagged_triple_with_common_factor():
         assert all(shifted_kernel_member(S, v, (3, 3, 6, j)) for v in vectors)
         explicit = [binomial_from_vector(v, S.generators) for v in vectors]
         assert ideal_equivalent(S, minimal_generators(S)[0], explicit), j
+        assert generates(S, explicit), j
 
 
 @pytest.mark.parametrize("abc", [(3, 3, 6), (6, 3, 3), (2, 4, 12)])

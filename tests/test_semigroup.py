@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from monocurve import semigroup
 from monocurve.betti import graded_betti
-from monocurve.binomials import binomial_from_vector, kernel_member, minimal_generators
+from monocurve.binomials import (binomial_from_vector, critical_exponent,
+                                 kernel_member, minimal_generators)
 from monocurve.errors import (InvalidInputError, InvalidPivotError,
                               MustNormalizeError, OutOfRangeError)
 from monocurve.family import (FamilySpec, ci_check_3gen, scan,
                               verify_theorem_a, verify_theorem_b)
 from monocurve.semigroup import (MAX_CELLS, MembershipTable, SemigroupSpec,
                                  apery, canonical_factorization, canonical_key,
-                                 contains, factorizations, frobenius,
-                                 normalize)
+                                 contains, frobenius, normalize)
 
 from oracles import (brute_apery, brute_factorizations, brute_frobenius,
                      brute_members, member_array)
@@ -71,7 +71,6 @@ S35 = normalize((3, 5))
     pytest.param(lambda: contains(S35, 7.9), "7.9", id="contains"),
     pytest.param(lambda: contains(S35, Fraction(8)), "Fraction(8, 1)", id="contains-fraction"),
     pytest.param(lambda: apery(S35, 5.0), "5.0", id="apery"),
-    pytest.param(lambda: factorizations(S35, 8.0), "8.0", id="factorizations"),
     pytest.param(lambda: canonical_factorization(S35, 8.5), "8.5",
                  id="canonical_factorization"),
     pytest.param(lambda: graded_betti(S35, 40.5), "40.5", id="graded_betti"),
@@ -89,6 +88,9 @@ S35 = normalize((3, 5))
     pytest.param(lambda: verify_theorem_b(FamilySpec(1, 1, 2), 64, 64.5), "64.5",
                  id="verify_theorem_b"),
     pytest.param(lambda: verify_theorem_a(FamilySpec(2, 3, 5), 1.5), "1.5", id="verify_theorem_a"),
+    pytest.param(lambda: critical_exponent(S35, 1.5), "1.5", id="critical_exponent"),
+    pytest.param(lambda: critical_exponent(S35, "1"), "'1'", id="critical_exponent-str"),
+    pytest.param(lambda: MembershipTable((3.5, 5)), "3.5", id="MembershipTable"),
 ])
 def test_non_integral_input_is_refused_not_truncated(call, bad):
     with pytest.raises(InvalidInputError, match=f"must be an integer, got {re.escape(bad)}$"):
@@ -100,7 +102,6 @@ def test_numpy_integers_are_read_as_ints():
     assert S.generators == (6, 10, 15) and S.content == 2
     assert all(type(a) is int for a in S.generators)
     assert contains(S, np.int64(30)) and not contains(S, np.uint16(29))
-    assert factorizations(S, np.int32(30)) == factorizations(S, 30)
     assert graded_betti(S, np.int64(40)) == graded_betti(S, 40)
     F = FamilySpec(np.int64(2), np.int8(3), 5)
     assert F == (2, 3, 5, 1) and all(type(v) is int for v in F)
@@ -180,31 +181,6 @@ def test_apery_invalid_pivot():
         apery(normalize((2, 3)), 0)
 
 
-def test_factorizations_examples():
-    S = normalize((30, 32, 35, 40))
-    assert [f.exponents for f in factorizations(S, 70)] == [(0, 0, 2, 0), (1, 0, 0, 1)]
-    assert [f.exponents for f in factorizations(S, 60)] == [(2, 0, 0, 0)]
-    assert [f.exponents for f in factorizations(S, 0)] == [(0, 0, 0, 0)]
-    assert factorizations(S, 38) == ()
-
-
-def test_factorizations_match_oracle_and_are_lex_sorted():
-    for gens in [(30, 32, 35, 40), (2, 3), (4, 9, 11), (3, 5, 7, 8, 11)]:
-        S = normalize(gens)
-        for m in range(0, 150, 7):
-            got = [f.exponents for f in factorizations(S, m)]
-            assert got == sorted(brute_factorizations(gens, m))
-            for f in factorizations(S, m):
-                assert f.degree == m
-                assert sum(e * a for e, a in zip(f.exponents, gens)) == m
-
-
-def test_factorizations_nonempty_iff_member():
-    S = normalize((5, 9, 21, 22))
-    for m in range(150):
-        assert bool(factorizations(S, m)) == contains(S, m)
-
-
 def test_membership_table_is_apery_set():
     gens = (30, 32, 35, 40)
     t = MembershipTable(gens)
@@ -269,7 +245,7 @@ def test_contains_permutation_and_scaling_invariant(gens, m):
 def test_canonical_factorization_minimizes_key():
     S = normalize((30, 32, 35, 40))
     for m in [60, 70, 120, 160, 190, 230]:
-        facts = [f.exponents for f in factorizations(S, m)]
+        facts = brute_factorizations(S.generators, m)
         best = canonical_factorization(S, m)
         assert best.exponents == min(facts, key=canonical_key)
     assert canonical_factorization(S, 38) is None
