@@ -12,7 +12,10 @@ K[S], so beta_{i,m}(K[S]) = beta_{i,m}(K[S]/(t^a1)) over K[x2..xn], and the
 Koszul complex of that quotient is zero in degree m unless m - a_F lies in
 Ap(S, a1) for some F ⊆ {2..n} with |F| = i. Complexes are therefore only
 evaluated at the candidate degrees w + a_F, w in Ap(S, a1): at most
-a1 * 2**(n-1) of them, however large the Frobenius number.
+a1 * 2**(n-1) of them, however large the Frobenius number. The largest Apéry
+element is frobenius + a1, so every candidate is at most
+frobenius + a1 + (a2 + ... + an), which is :func:`default_bound`: a pass
+evaluates every candidate, and a caller's bound only filters its result.
 
 The same reading shrinks the homology. The Koszul complex of K[S]/(t^a1) in
 degree m has one basis cell per F ⊆ {2..n} with m - a_F in Ap(S, a1), that
@@ -38,7 +41,7 @@ is tested a block of rows at a time over the whole batch; the face words
 are deduplicated once for the batch and each distinct complex is ranked and
 cross-checked once. Each semigroup caches its table and, as its patterns,
 views of the batch's degree and complex-index arrays with the batch's faces;
-the per-table checks stay per semigroup. A batch of one is the same code.
+the per-table checks run on every table. A batch of one is the same code.
 """
 
 from __future__ import annotations
@@ -244,21 +247,18 @@ def _distinct(ordered):
     return ordered[first]
 
 
-def _pattern_pass(specs, bounds):
+def _pattern_pass(specs):
     """Candidate degrees and their complexes for semigroups with the same n.
 
-    Returns (owner, degrees, faces, inverse): the distinct candidate degrees
-    up to each semigroup's bound, ordered by (semigroup index ``owner``,
-    degree), the batch's distinct face-set integers, and the index into
-    ``faces`` of each degree's complex. Each semigroup's ("patterns", bound)
-    entry is its views ``degrees[lo:hi]`` and ``inverse[lo:hi]`` with the
-    batch's ``faces``; :func:`degree_patterns` compacts it.
+    Returns (owner, degrees, faces, inverse): the distinct candidate degrees,
+    ordered by (semigroup index ``owner``, degree), the batch's distinct
+    face-set integers, and the index into ``faces`` of each degree's complex.
+    Each semigroup's "patterns" entry is its views ``degrees[lo:hi]`` and
+    ``inverse[lo:hi]`` with the batch's ``faces``; :func:`degree_patterns`
+    compacts it.
     """
     n = specs[0].n
     nfaces = 1 << n
-    for S, bound in zip(specs, bounds):
-        if bound < 0:
-            raise InvalidInputError(f"generators {S.generators}: bound {bound} is negative")
     tables = [S.membership for S in specs]
     if any(t.content != 1 for t in tables):
         raise MustNormalizeError("Betti degrees require coprime generators")
@@ -271,17 +271,10 @@ def _pattern_pass(specs, bounds):
     keys = np.repeat(sums[:, 0::2], moduli, axis=0)
     keys += ap[:, None]
     span = int(keys.max()) + 1
-    offset = np.arange(len(specs)) * span
-    above = np.array([min(b, span) + 1 for b in bounds], dtype=np.int64) + offset
-    keys += np.repeat(offset, moduli)[:, None]
-    # a candidate above its bound gets a key above every kept key (>= here
-    # and - below: > or an in-place % or - mapped about 0.15 MB more of
-    # numpy's code on small inputs)
-    end = len(specs) * span
-    keys[keys >= np.repeat(above, moduli)[:, None]] = end
+    keys += np.repeat(np.arange(len(specs)) * span, moduli)[:, None]
     keys = keys.ravel()
     keys.sort()
-    keys = _distinct(keys[:np.searchsorted(keys, end)])
+    keys = _distinct(keys)
     owner = keys // span
     degrees = keys - owner * span
 
@@ -318,9 +311,18 @@ def _pattern_pass(specs, bounds):
                  for row in ordered[first].tolist()]
 
     starts = np.searchsorted(owner, np.arange(len(specs) + 1)).tolist()
-    for S, bound, lo, hi in zip(specs, bounds, starts, starts[1:]):
-        S._cache[("patterns", bound)] = (degrees[lo:hi], faces, inverse[lo:hi])
+    for S, lo, hi in zip(specs, starts, starts[1:]):
+        S._cache["patterns"] = (degrees[lo:hi], faces, inverse[lo:hi])
     return owner, degrees, faces, inverse
+
+
+def _read_bound(S: SemigroupSpec, bound) -> int:
+    """A caller's degree bound as an int, after the size check; never negative."""
+    bound = as_integer(bound, "bound")
+    _check_candidates(S)
+    if bound < 0:
+        raise InvalidInputError(f"generators {S.generators}: bound {bound} is negative")
+    return bound
 
 
 def degree_patterns(S: SemigroupSpec, bound):
@@ -330,25 +332,30 @@ def degree_patterns(S: SemigroupSpec, bound):
     degree has zero Betti numbers (module docstring). ``degrees`` ascends,
     degree ``degrees[k]`` has the face-set integer ``faces[inverse[k]]``, and
     ``counts[u]`` degrees share ``faces[u]``, which keep the batch's order.
-    The pass runs once per semigroup and bound, as a batch of one unless a
-    batch already cached the semigroup's views of it (:func:`_pattern_pass`).
+    The pass runs once per semigroup, as a batch of one unless a batch
+    already cached the semigroup's views of it (:func:`_pattern_pass`), and
+    ``bound`` cuts its ascending degrees.
     """
-    bound = as_integer(bound, "bound")
-    key = ("patterns", bound)
-    if key not in S._cache:
-        _check_candidates(S)
-        _pattern_pass([S], [bound])
-    degrees, faces, inverse = S._cache[key]
+    bound = _read_bound(S, bound)
+    if "patterns" not in S._cache:
+        _pattern_pass([S])
+    degrees, faces, inverse = S._cache["patterns"]
+    end = np.searchsorted(degrees, bound, side="right")
+    degrees, inverse = degrees[:end], inverse[:end]
     counts = np.bincount(inverse, minlength=len(faces))
     ids = np.flatnonzero(counts)
     local = (np.cumsum(counts > 0) - 1)[inverse]
     return degrees, [faces[u] for u in ids.tolist()], local, counts[ids]
 
 
-def _table_pass(specs, bounds):
-    """Tables of one batch, cached on each semigroup as ("table", bound)."""
+def _totals(n, rows):
+    return tuple(map(sum, zip((0,) * (n + 1), *rows.values())))
+
+
+def _table_pass(specs):
+    """Tables of one batch, each checked and cached on its semigroup as "table"."""
     n = specs[0].n
-    owner, degrees, faces, inverse = _pattern_pass(specs, bounds)
+    owner, degrees, faces, inverse = _pattern_pass(specs)
     ranks_by_u = []
     for index, u in enumerate(faces):
         try:
@@ -368,45 +375,40 @@ def _table_pass(specs, bounds):
     for i, m, u in zip(owner[hit].tolist(), degrees[hit].tolist(), inverse[hit].tolist()):
         rows[i][m] = ranks_by_u[u]
 
-    for S, bound, r in zip(specs, bounds, rows):
-        t = tuple(map(sum, zip((0,) * (n + 1), *r.values())))
-        table = GradedBettiTable(rows=r, totals=t)
-        if bound >= default_bound(S):
-            where = f"generators {S.generators}: "
-            if t[0] != 1 or r.get(0, (0,))[0] != 1:
-                raise MonocurveError(where + "degree-0 Betti number must be exactly 1")
-            if any(b[0] for m, b in r.items() if m != 0):
-                raise MonocurveError(where + "beta_0 supported away from degree 0")
-            if sum((-1) ** i * b for i, b in enumerate(t)) != 0:
-                raise MonocurveError(where + "alternating sum of Betti totals is nonzero")
-            if t[n] != 0:
-                raise MonocurveError(where + "projective dimension exceeds n-1")
-        S._cache[("table", bound)] = table
+    for S, r in zip(specs, rows):
+        t = _totals(n, r)
+        where = f"generators {S.generators}: "
+        if t[0] != 1 or r.get(0, (0,))[0] != 1:
+            raise MonocurveError(where + "degree-0 Betti number must be exactly 1")
+        if any(b[0] for m, b in r.items() if m != 0):
+            raise MonocurveError(where + "beta_0 supported away from degree 0")
+        if sum((-1) ** i * b for i, b in enumerate(t)) != 0:
+            raise MonocurveError(where + "alternating sum of Betti totals is nonzero")
+        if t[n] != 0:
+            raise MonocurveError(where + "projective dimension exceeds n-1")
+        S._cache["table"] = GradedBettiTable(rows=r, totals=t)
 
 
-def betti_tables(specs, bound=None) -> list[GradedBettiTable]:
-    """:func:`graded_betti` of each semigroup, with one pass per batch.
+def betti_tables(specs) -> list[GradedBettiTable]:
+    """Full :func:`graded_betti` of each semigroup, with one pass per batch.
 
     All semigroups need the same number of generators. Every one is checked
     against ``MAX_CELLS`` before any Apéry table is built; then each run of
     :func:`batches` stacks its candidates, tests membership, deduplicates
     complexes and ranks each distinct complex once. Tables and patterns are
-    cached on each semigroup, so later calls for the same bound are lookups.
+    cached on each semigroup, so later calls are lookups.
     """
     specs = list(specs)
-    if bound is not None:
-        bound = as_integer(bound, "bound")
     if len({S.n for S in specs}) > 1:
         raise InvalidInputError("a batch needs semigroups with the same number of generators")
     for S in specs:
         _check_candidates(S)
     out = []
     for chunk in batches(specs):
-        bounds = [default_bound(S) if bound is None else bound for S in chunk]
-        todo = [(S, b) for S, b in zip(chunk, bounds) if ("table", b) not in S._cache]
+        todo = [S for S in chunk if "table" not in S._cache]
         if todo:
-            _table_pass([S for S, _ in todo], [b for _, b in todo])
-        out.extend(S._cache[("table", b)] for S, b in zip(chunk, bounds))
+            _table_pass(todo)
+        out.extend(S._cache["table"] for S in chunk)
     return out
 
 
@@ -414,13 +416,18 @@ def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:
     """Full graded Betti table of the quotient by the defining ideal.
 
     beta_{i,m} = rank of reduced homology of the divisor complex of m in
-    dimension i-1, for every candidate degree m up to the Betti-degree bound.
-    The homology rank in dimension 0 is cross-checked against the component
-    count of the whole 1-skeleton for every distinct complex encountered; a
-    failed per-complex check names the generators, a degree that carries the
-    complex, and the check. A batch of one of :func:`betti_tables`.
+    dimension i-1, for every candidate degree m. The homology rank in
+    dimension 0 is cross-checked against the component count of the whole
+    1-skeleton for every distinct complex encountered; a failed per-complex
+    check names the generators, a degree that carries the complex, and the
+    check. A batch of one of :func:`betti_tables`, whose checks run on the
+    full table; a ``bound`` then keeps the rows m <= bound and totals them.
     """
-    return betti_tables([S], bound)[0]
+    if bound is None:
+        return betti_tables([S])[0]
+    bound = _read_bound(S, bound)
+    rows = {m: r for m, r in betti_tables([S])[0].rows.items() if m <= bound}
+    return GradedBettiTable(rows=rows, totals=_totals(S.n, rows))
 
 
 def disconnected_degrees(S: SemigroupSpec, bound):

@@ -110,8 +110,7 @@ def _tabled(specs):
         yield from zip(chunk, betti_tables(chunk))
 
 
-def _scan_rows(a, b, c, offset, js) -> list[ScanRow]:
-    F = FamilySpec(a, b, c, offset=offset)
+def _scan_rows(F: FamilySpec, js) -> list[ScanRow]:
     specs = (normalize(F.raw_tuple(j)) for j in js)
     return [ScanRow(j=j, raw_generators=F.raw_tuple(j), generators=S.generators,
                     content=S.content, totals=table.totals, mu=table.mu, ci=table.mu == 3)
@@ -156,8 +155,7 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     if j_min < 1 or j_min > j_max:
         raise InvalidInputError("need 1 <= j_min <= j_max")
-    rows = _map_ordered(functools.partial(_scan_rows, F.a, F.b, F.c, F.offset),
-                        range(j_min, j_max + 1), jobs)
+    rows = _map_ordered(functools.partial(_scan_rows, F), range(j_min, j_max + 1), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
         report = report._replace(period=detect_period(report))
@@ -317,16 +315,11 @@ class TheoremBReport(NamedTuple):
         return not self.counterexamples
 
 
-def _shifted(a, b, c, j):
-    return normalize((j, a + j, a + b + j, a + b + c + j))
-
-
-def _tb_rows(a, b, c, js) -> list[TheoremBRow]:
-    # the batch caches each table and its patterns, so is_complete_intersection
-    # looks them up
-    specs = (_shifted(a, b, c, j) for j in js)
+def _tb_rows(F: FamilySpec, js) -> list[TheoremBRow]:
+    # offset 0, so j leads; is_complete_intersection finds the batch's tables cached
+    specs = (normalize(F.raw_tuple(j)) for j in js)
     return [TheoremBRow(j=j, generators=S.generators, ci=is_complete_intersection(S),
-                        divisible=j % (a + b + c) == 0)
+                        divisible=j % F.period == 0)
             for j, (S, _) in zip(js, _tabled(specs))]
 
 
@@ -345,7 +338,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
         raise InvalidInputError("need j_min <= j_max")
-    rows = _map_ordered(functools.partial(_tb_rows, F.a, F.b, F.c),
+    rows = _map_ordered(functools.partial(_tb_rows, F._replace(offset=0)),
                         range(j_min, j_max + 1), jobs)
     bad = [r for r in rows if not r.agrees]
     return TheoremBReport(family=F, j_min=j_min, j_max=j_max,
@@ -425,8 +418,8 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     js = [s * n + stride * (t or 0) for _, n, t, stride in cases]
     check_ideal = F.p_c is not None and math.gcd(a, b) == 1
     rows: list[TheoremARow] = []
-    for (case, n, t, _), j, (S, _) in zip(cases, js,
-                                          _tabled(_shifted(a, b, c, j) for j in js)):
+    specs = (normalize(F._replace(offset=0).raw_tuple(j)) for j in js)
+    for (case, n, t, _), j, (S, _) in zip(cases, js, _tabled(specs)):
         mu = _mu_checked(S)
         ideal_ok = None
         if case == "i" and check_ideal:

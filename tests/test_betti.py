@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from monocurve import betti, semigroup
 from monocurve.betti import (GradedBettiTable, batches, betti_tables,
-                             default_bound, degree_patterns, graded_betti,
+                             default_bound, degree_patterns,
+                             disconnected_degrees, graded_betti,
                              integer_matrix_rank)
 from monocurve.binomials import minimal_generators
 from monocurve.errors import (InvalidInputError, MonocurveError,
@@ -18,10 +20,10 @@ from monocurve.errors import (InvalidInputError, MonocurveError,
 from monocurve.family import FamilySpec, is_complete_intersection, verify_theorem_b
 from monocurve.semigroup import MAX_CELLS, SemigroupSpec, frobenius, normalize
 
-from oracles import (DivisorComplex, brute_generator_degrees, brute_mu,
-                     divisor_complex, enumerate_generators, face,
-                     fraction_rank, full_complex_ranks,
-                     reduced_homology_ranks, skeleton_mu)
+from oracles import (DivisorComplex, brute_apery, brute_frobenius,
+                     brute_generator_degrees, brute_mu, divisor_complex,
+                     enumerate_generators, face, fraction_rank,
+                     full_complex_ranks, reduced_homology_ranks, skeleton_mu)
 
 
 def test_divisor_complex_paper_degree():
@@ -209,15 +211,65 @@ def test_bound_override_truncates():
 def test_negative_bound_is_refused_and_zero_is_legal():
     S = normalize((3, 5))
     for call in (lambda: graded_betti(S, bound=-5),
-                 lambda: betti_tables([S, normalize((4, 7)), normalize((5, 9))], -1),
                  lambda: degree_patterns(S, -1),
+                 lambda: disconnected_degrees(S, -1),
                  lambda: minimal_generators(S, bound=-1)):
         with pytest.raises(InvalidInputError, match=r"generators \(3, 5\): bound -\d+ is negative"):
             call()
-    assert not any(key[-1] < 0 for key in S._cache if key[0] in ("table", "patterns"))
+    # the bound is read before any pass
+    assert "table" not in S._cache and "patterns" not in S._cache
     assert graded_betti(S, bound=0) == GradedBettiTable(rows={0: (1, 0, 0)}, totals=(1, 0, 0))
     assert minimal_generators(S, bound=0) == ([], 0)
     assert degree_patterns(S, 0)[0].tolist() == [0]
+
+
+@st.composite
+def _bounded(draw):
+    """Distinct generators (n in 2..8) and a bound in [0, default_bound + 50]."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    gens = draw(st.lists(st.integers(min_value=2, max_value=30), min_size=n,
+                         max_size=n, unique=True))
+    return gens, draw(st.integers(min_value=0, max_value=default_bound(normalize(gens)) + 50))
+
+
+@given(_bounded())
+@settings(max_examples=60, deadline=None)
+def test_bounded_results_are_the_full_results_filtered(case):
+    gens, bound = case
+    full = graded_betti(normalize(gens))
+    kept = {m: r for m, r in full.rows.items() if m <= bound}
+    table = graded_betti(normalize(gens), bound)
+    assert list(table.rows.items()) == list(kept.items())
+    assert table.totals == tuple(sum(r[i] for r in kept.values()) for i in range(len(full.totals)))
+    full_gens, _ = minimal_generators(normalize(gens))
+    kept_gens = [g for g in full_gens if g.plus.degree <= bound]
+    assert minimal_generators(normalize(gens), bound) == (kept_gens, len(kept_gens))
+
+
+@pytest.mark.parametrize("gens", [
+    (3, 5), (5, 7, 9), (30, 32, 35, 40), (23, 25, 28, 33), (9, 10, 11, 12, 13),
+    (7, 9, 11, 13, 15, 17), (8, 9, 10, 11, 12, 13, 15), (9, 10, 11, 12, 13, 14, 15, 17),
+])
+def test_default_bound_holds_every_candidate(gens):
+    # the largest Apéry element is frobenius + a1, so the largest candidate
+    # w + a_F is default_bound itself and the pass needs no bound of its own
+    S = normalize(gens)
+    candidates = {w + sum(F) for w in brute_apery(gens, gens[0])
+                  for k in range(S.n) for F in itertools.combinations(gens[1:], k)}
+    assert default_bound(S) == brute_frobenius(gens) + sum(gens) == max(candidates)
+    assert degree_patterns(S, default_bound(S))[0].tolist() == sorted(candidates)
+    assert _patterns(S, 10 ** 30) == _patterns(S, default_bound(S))
+
+
+@pytest.mark.parametrize("bound", [0, 150, None])
+def test_bounded_calls_run_the_table_checks(monkeypatch, bound):
+    # every complex loses its beta_0, so the table has no degree-0 row; a
+    # bound below the table's degrees must not skip the check
+    original = betti._reduced_ranks
+    monkeypatch.setattr(betti, "_reduced_ranks", lambda n, u: (0,) + original(n, u)[1:])
+    with pytest.raises(MonocurveError, match=r"^generators \(30, 32, 35, 40\): "
+                       r"degree-0 Betti number must be exactly 1$"):
+        graded_betti(normalize((30, 32, 35, 40)), bound)
 
 
 def test_b1_equals_components_minus_one():
@@ -352,11 +404,12 @@ def test_batches_keep_sort_keys_below_2_62():
     specs = [normalize((3, (1 << 58) + 3 * k + 1)) for k in range(12)]
     assert [len(chunk) for chunk in batches(specs)] == [2] * 6
     assert betti_tables(specs) == [graded_betti(normalize(S.generators)) for S in specs]
-    # a bound of 2**59 keeps each member's candidates 0 and an and cuts 2an
-    # and 3an, whose keys are moved above every kept key of the pair
+    # a bound of 2**59 keeps each member's candidates 0 and an and filters out
+    # 2an and 3an, from the views the paired passes cached
     bound = 1 << 59
     alone = [normalize(S.generators) for S in specs]
-    assert betti_tables(specs, bound) == [graded_betti(S, bound) for S in alone]
+    assert [graded_betti(S, bound) for S in specs] == [graded_betti(S, bound) for S in alone]
+    assert graded_betti(specs[0], bound).rows == {0: (1, 0, 0)}
     for S, single in zip(specs, alone):
         assert _patterns(S, bound) == _patterns(single, bound)
         assert _patterns(S, bound)[0] == [0, S.generators[1]]
@@ -371,9 +424,9 @@ def test_patterns_decomposed_once_per_semigroup(monkeypatch):
     passes = []
     original = betti._pattern_pass
 
-    def counted(specs, bounds):
+    def counted(specs):
         passes.append(len(specs))
-        return original(specs, bounds)
+        return original(specs)
 
     monkeypatch.setattr(betti, "_pattern_pass", counted)
     S = normalize((23, 25, 28, 33))
@@ -396,23 +449,24 @@ def test_patterns_decomposed_once_per_semigroup(monkeypatch):
 def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound):
     raws = [(23, 25, 28, 33), (30, 32, 35, 40), (5, 7, 9, 11), (12, 13, 17, 19)]
     singles = [normalize(r) for r in raws]
-    alone = [graded_betti(S, bound) for S in singles]
+    alone = [graded_betti(S) for S in singles]
     batch = [normalize(r) for r in raws]
     assert len(list(batches(batch))) == 1
-    graded_betti(batch[0], bound)  # tabled at this bound
-    graded_betti(batch[2], 90 if bound == 40 else 40)  # tabled at another bound
+    graded_betti(batch[0], bound)  # tabled in full, whatever the bound
+    minimal_generators(batch[2], bound)  # patterns only: its table is still to come
     passes = []
     original = betti._pattern_pass
 
-    def counted(specs, bounds):
+    def counted(specs):
         passes.append([S.generators for S in specs])
-        return original(specs, bounds)
+        return original(specs)
 
     monkeypatch.setattr(betti, "_pattern_pass", counted)
-    assert betti_tables(batch, bound) == alone
+    assert betti_tables(batch) == alone
     assert passes == [[raws[1], raws[2], raws[3]]]
     for S, single in zip(batch, singles):
         b = default_bound(S) if bound is None else bound
+        assert graded_betti(S, b) == graded_betti(single, b), S
         assert _patterns(S, b) == _patterns(single, b), S
     assert len(passes) == 1
 
@@ -512,23 +566,25 @@ def _patterns(S, bound):
 def test_batch_of_many_equals_batches_of_one(raws, bound, budget):
     batch = [normalize(r) for r in raws]
     with mock.patch.object(betti, "_CHUNK_CELLS", budget):
-        tables = betti_tables(batch, bound)
+        tables = betti_tables(batch)
         chunks = list(batches(batch))
     assert [S for chunk in chunks for S in chunk] == batch
     if budget == 1:
         assert all(len(chunk) == 1 for chunk in chunks)
     for raw, S, table in zip(raws, batch, tables):
         alone = normalize(raw)
-        single = graded_betti(alone, bound)
+        single = graded_betti(alone)
         assert list(table.rows.items()) == list(single.rows.items()), raw
         assert table.totals == single.totals, raw
         b = default_bound(alone) if bound is None else bound
+        assert graded_betti(S, b) == graded_betti(alone, b), raw
         assert _patterns(S, b) == _patterns(alone, b), raw
     # against the whole-complex scan of every degree, on the small members
-    for raw, S, table in zip(raws, batch, tables):
+    for raw, S in zip(raws, batch):
         if S.n <= 4 and S.generators[0] <= 12:
             b = default_bound(S) if bound is None else bound
-            assert list(table.rows.items()) == list(_full_scan_rows(S, b).items()), raw
+            rows = graded_betti(S, b).rows
+            assert list(rows.items()) == list(_full_scan_rows(S, b).items()), raw
 
 
 @pytest.mark.parametrize("gens", [

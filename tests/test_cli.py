@@ -354,6 +354,14 @@ def test_bound_override():
     assert set(rows) == {"0", "70", "120"}
 
 
+@pytest.mark.parametrize("command", ["betti", "gens"])
+def test_bound_override_above_every_degree_gives_the_full_result(command):
+    argv = [command, "--gens", "30,32,35,40", "--format", "json"]
+    full = run_cli(argv)[:2]
+    assert full[0] == 0
+    assert run_cli(argv + ["--bound-override", str(10 ** 30)])[:2] == full
+
+
 # exit code and sha256 of stdout of every report in every format; a change
 # to how reports are rendered must not move a byte
 GOLDEN_RENDERS = {
