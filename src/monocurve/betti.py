@@ -29,8 +29,9 @@ of the whole complex.
 Faces are encoded as variable bitmasks (bit i-1 set iff generator i in the
 face); a whole complex on n vertices is one integer with 2**n face bits.
 The complexes of all candidate degrees are built together as rows of
-ceil(2**n / 64) uint64 words, deduplicated by row, and homology ranks are
-memoized per face-set integer.
+ceil(2**n / 64) uint64 words, deduplicated a word at a time with each word
+above the ones before it, so that for every n the distinct complexes ascend
+as face-set integers; homology ranks are memoized per face-set integer.
 
 Many small semigroups with the same n (a scan, a theorem check, the hs3
 sweep) are evaluated as one batch per run of :func:`batches`, so numpy's
@@ -247,12 +248,19 @@ def _distinct(ordered):
     return ordered[first]
 
 
+def _ranked(values):
+    """The distinct values of ``values``, ascending, and each value's index among them."""
+    ordered = _distinct(np.sort(values))
+    return ordered, np.searchsorted(ordered, values)
+
+
 def _pattern_pass(specs):
     """Candidate degrees and their complexes for semigroups with the same n.
 
     Returns (owner, degrees, faces, inverse): the distinct candidate degrees,
     ordered by (semigroup index ``owner``, degree), the batch's distinct
-    face-set integers, and the index into ``faces`` of each degree's complex.
+    face-set integers, ascending, and the index into ``faces`` of each
+    degree's complex; for n <= 6 a complex is one word, ranked by one sort.
     Each semigroup's "patterns" entry is its views ``degrees[lo:hi]`` and
     ``inverse[lo:hi]`` with the batch's ``faces``; :func:`degree_patterns`
     compacts it.
@@ -292,23 +300,17 @@ def _pattern_pass(specs):
         np.greater_equal(x, least, out=part[:, 0::2])
         np.greater_equal(x, least + moduli[rows, None], out=part[:, 1::2])
         packed[lo:lo + step, :-(-nfaces // 8)] = np.packbits(part, axis=1, bitorder="little")
-    words = packed.view("<u8")
-    if nwords == 1:
-        # one word per complex: sort a copy, keep its distinct words, and
-        # find each degree's by bisection
-        words = words[:, 0]
-        ordered = _distinct(np.sort(words))
-        inverse = np.searchsorted(ordered, words)
-        faces = ordered.tolist()
-    else:
-        order = np.lexsort(words.T)
-        ordered = words[order]
-        first = np.ones(len(ordered), dtype=bool)
-        first[1:] = np.bitwise_or.reduce(ordered[1:] ^ ordered[:-1], axis=1) != 0
-        inverse = np.empty(len(ordered), dtype=np.intp)
-        inverse[order] = np.cumsum(first) - 1
-        faces = [sum(w << (64 * i) for i, w in enumerate(row))
-                 for row in ordered[first].tolist()]
+    # rank the first word, then fold each later word's rank in above the
+    # ranks so far (pair keys stay below len(degrees)**2); ``words``, the
+    # distinct rows so far, and ``inverse`` stay ordered as face-set integers
+    columns = packed.view("<u8").T
+    words, inverse = _ranked(columns[0])
+    words = words[:, None]
+    for column in columns[1:]:
+        ordered, rank = _ranked(column)
+        pairs, inverse = _ranked(rank * len(words) + inverse)
+        words = np.column_stack((words[pairs % len(words)], ordered[pairs // len(words)]))
+    faces = [sum(w << (64 * i) for i, w in enumerate(row)) for row in words.tolist()]
 
     starts = np.searchsorted(owner, np.arange(len(specs) + 1)).tolist()
     for S, lo, hi in zip(specs, starts, starts[1:]):
@@ -352,10 +354,9 @@ def _totals(n, rows):
     return tuple(map(sum, zip((0,) * (n + 1), *rows.values())))
 
 
-def _table_pass(specs):
-    """Tables of one batch, each checked and cached on its semigroup as "table"."""
+def _table_pass(specs, owner, degrees, faces, inverse):
+    """Tables from one pass's patterns, each checked and cached on its semigroup as "table"."""
     n = specs[0].n
-    owner, degrees, faces, inverse = _pattern_pass(specs)
     ranks_by_u = []
     for index, u in enumerate(faces):
         try:
@@ -396,7 +397,8 @@ def betti_tables(specs) -> list[GradedBettiTable]:
     against ``MAX_CELLS`` before any Apéry table is built; then each run of
     :func:`batches` stacks its candidates, tests membership, deduplicates
     complexes and ranks each distinct complex once. Tables and patterns are
-    cached on each semigroup, so later calls are lookups.
+    cached on each semigroup, so later calls are lookups; a member whose
+    patterns alone are cached is ranked from them, not passed again.
     """
     specs = list(specs)
     if len({S.n for S in specs}) > 1:
@@ -406,8 +408,13 @@ def betti_tables(specs) -> list[GradedBettiTable]:
     out = []
     for chunk in batches(specs):
         todo = [S for S in chunk if "table" not in S._cache]
-        if todo:
-            _table_pass(todo)
+        fresh = [S for S in todo if "patterns" not in S._cache]
+        if fresh:
+            _table_pass(fresh, *_pattern_pass(fresh))
+        for S in todo:
+            if "table" not in S._cache:  # its patterns were cached: rank those
+                degrees, faces, inverse, _ = degree_patterns(S, default_bound(S))
+                _table_pass([S], np.zeros_like(inverse), degrees, faces, inverse)
         out.extend(S._cache["table"] for S in chunk)
     return out
 

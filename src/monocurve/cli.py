@@ -67,15 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=None,
                            help="worker processes (default: $BETTI_JOBS or 1)")
 
-    p_betti = sub.add_parser("betti", help="graded Betti table of one semigroup")
-    p_betti.add_argument("--gens", type=_parse_int_tuple, required=True)
-    p_betti.add_argument("--bound-override", type=int, default=None)
-    add_common(p_betti)
-
-    p_gens = sub.add_parser("gens", help="minimal binomial generators and mu")
-    p_gens.add_argument("--gens", type=_parse_int_tuple, required=True)
-    p_gens.add_argument("--bound-override", type=int, default=None)
-    add_common(p_gens)
+    for name, text in (("betti", "graded Betti table of one semigroup"),
+                       ("gens", "minimal binomial generators and mu")):
+        p_single = sub.add_parser(name, help=text)
+        p_single.add_argument("--gens", type=_parse_int_tuple, required=True)
+        p_single.add_argument("--bound-override", type=int, default=None)
+        add_common(p_single)
 
     p_crit = sub.add_parser("critical", help="full set of critical binomials")
     p_crit.add_argument("--gens", type=_parse_int_tuple, required=True)

@@ -378,13 +378,10 @@ def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
         (-p, 0, p + 1, -1),
         (-b, a + b, -a, 0),
     ]
-    out = []
     for v in vectors:
-        g = binomial_from_vector(v, S.generators)
         if not kernel_member(S, v):
             raise MonocurveError(f"expected ideal generator {v} is not in the kernel")
-        out.append(g)
-    return out
+    return [binomial_from_vector(v, S.generators) for v in vectors]
 
 
 def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:

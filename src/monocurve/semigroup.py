@@ -230,23 +230,19 @@ def normalize(raw) -> SemigroupSpec:
     Removed duplicates are recorded on the result.
     """
     raw = tuple(as_integer(a, "generator") for a in raw)
+    where = f"generators {raw}: "
     if len(raw) < 2:
-        raise InvalidInputError("need at least 2 generators")
+        raise InvalidInputError(where + "need at least 2 generators")
     if any(a <= 0 for a in raw):
-        raise InvalidInputError("generators must be positive integers")
+        raise InvalidInputError(where + "generators must be positive integers")
     d = math.gcd(*raw)
     reduced = sorted(a // d for a in raw)
-    kept = []
-    removed = []
-    for a in reduced:
-        if kept and kept[-1] == a:
-            removed.append(a)
-        else:
-            kept.append(a)
+    kept = sorted(set(reduced))
+    removed = [b for a, b in zip(reduced, reduced[1:]) if a == b]
     if len(kept) < 2:
-        raise InvalidInputError("fewer than 2 distinct generators after normalization")
+        raise InvalidInputError(where + "fewer than 2 distinct generators after normalization")
     if len(kept) > MAX_GENERATORS:
-        raise InvalidInputError(f"more than {MAX_GENERATORS} distinct generators")
+        raise InvalidInputError(where + f"more than {MAX_GENERATORS} distinct generators")
     return SemigroupSpec(tuple(kept), content=d, removed_duplicates=tuple(removed))
 
 

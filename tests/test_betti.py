@@ -6,7 +6,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monocurve import betti, semigroup
@@ -294,7 +294,7 @@ def test_betti_invariant_under_permutation_and_scaling():
     assert scaled.rows == base.rows
 
 
-def test_seven_generators_loop_path():
+def test_seven_generators_two_words():
     # n = 7: each complex spans two uint64 words (128 faces)
     gens = (8, 9, 10, 11, 12, 13, 15)
     S = normalize(gens)
@@ -304,13 +304,14 @@ def test_seven_generators_loop_path():
     assert t.totals[-1] == 0
 
 
-def test_five_generators_vectorized_path():
+def test_five_generators_one_word():
+    # n = 5: each complex is one uint64 word (32 faces)
     gens = (9, 10, 11, 12, 13)
     S = normalize(gens)
     assert graded_betti(S).mu == brute_mu(gens)
 
 
-def test_eight_generators_loop_path():
+def test_eight_generators_four_words():
     # n = 8: each complex spans four uint64 words (256 faces)
     gens = (9, 10, 11, 12, 13, 14, 15, 17)
     S = normalize(gens)
@@ -318,6 +319,29 @@ def test_eight_generators_loop_path():
     assert t.mu == enumerate_generators(S)[1]
     assert sum((-1) ** i * b for i, b in enumerate(t.totals)) == 0
     assert t.totals[-1] == 0
+
+
+@st.composite
+def _small_batches(draw):
+    """1-4 raw generator lists with one n in 2..8 and generators below 15."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    return draw(st.lists(st.lists(st.integers(min_value=2, max_value=14), min_size=n,
+                                  max_size=n, unique=True), min_size=1, max_size=4))
+
+
+@given(_small_batches())
+@example([[8, 9, 10, 11, 12, 13, 14]])
+@example([[3, 5, 7, 8, 9, 10, 11, 13], [9, 10, 11, 12, 13, 14, 6, 7]])
+@settings(max_examples=40, deadline=None)
+def test_pass_gives_each_degree_its_complex(raws):
+    # every candidate degree against the oracle's complex; with more than one
+    # word per complex, merging two complexes that differ only in a lower
+    # word gives one of their degrees the other's complex
+    specs = [normalize(r) for r in raws]
+    owner, degrees, faces, inverse = betti._pattern_pass(specs)
+    assert all(a < b for a, b in zip(faces, faces[1:]))
+    for i, m, u in zip(owner.tolist(), degrees.tolist(), inverse.tolist()):
+        assert faces[u] == _faceset(divisor_complex(specs[i], m).faces), (raws[i], m)
 
 
 @given(st.sets(st.integers(min_value=2, max_value=45), min_size=2, max_size=4))
@@ -453,7 +477,7 @@ def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound
     batch = [normalize(r) for r in raws]
     assert len(list(batches(batch))) == 1
     graded_betti(batch[0], bound)  # tabled in full, whatever the bound
-    minimal_generators(batch[2], bound)  # patterns only: its table is still to come
+    minimal_generators(batch[2], bound)  # patterns only: tabled from them, not passed again
     passes = []
     original = betti._pattern_pass
 
@@ -463,7 +487,7 @@ def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound
 
     monkeypatch.setattr(betti, "_pattern_pass", counted)
     assert betti_tables(batch) == alone
-    assert passes == [[raws[1], raws[2], raws[3]]]
+    assert passes == [[raws[1], raws[3]]]
     for S, single in zip(batch, singles):
         b = default_bound(S) if bound is None else bound
         assert graded_betti(S, b) == graded_betti(single, b), S

@@ -166,6 +166,11 @@ def test_default_commands_load_no_pool_or_diff_modules():
     ("verify hs3 --q-max -3", ["q_max=-3", "ab_max=12"]),
     ("betti --gens 3,5 --bound-override -5", ["(3, 5)", "bound -5"]),
     ("gens --gens 3,5 --bound-override -5", ["(3, 5)", "bound -5"]),
+    ("betti --gens 0,5", ["(0, 5)", "positive"]),
+    ("betti --gens 3", ["(3,)", "at least 2"]),
+    ("gens --gens 4,4", ["(4, 4)", "fewer than 2 distinct"]),
+    ("betti --gens 10,11,12,13,14,15,16,17,18", ["(10, 11, 12, 13, 14, 15, 16, 17, 18)",
+                                                 "more than 8"]),
 ])
 def test_input_that_checks_nothing_exits_1(argv, names):
     for fmt in ("csv", "json", "pretty"):
