@@ -2,9 +2,9 @@
 numerical semigroup families."""
 
 from .betti import GradedBettiTable, betti_tables, default_bound, graded_betti
-from .binomials import (Binomial, CriticalWitness, binomial_from_vector,
-                        critical_exponent, full_critical_set, generates,
-                        kernel_member, minimal_generators)
+from .binomials import (Binomial, binomial_from_vector, critical_exponent,
+                        full_critical_set, generates, kernel_member,
+                        minimal_generators)
 from .errors import (DegenerateInputError, HypothesisNotMetError,
                      InsufficientDataError, InternalBoundError,
                      InvalidInputError, InvalidPivotError, MonocurveError,

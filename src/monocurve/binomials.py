@@ -81,26 +81,16 @@ def binomial_from_vector(v, gens) -> Binomial:
     )
 
 
-class CriticalWitness(NamedTuple):
-    """Least exponent alpha with alpha*a_var in the span of the other generators.
+def critical_exponent(S: SemigroupSpec, var) -> Binomial:
+    """The critical binomial x_var^alpha - complement, alpha the least exponent
+    with alpha*a_var in the span of the other generators.
 
-    ``var`` is 1-based as in x1..xn; ``complement`` is a full-length
-    factorization with a zero in position var-1.
-    """
-
-    var: int
-    exponent: int
-    complement: Factorization
-
-
-def critical_exponent(S: SemigroupSpec, var) -> CriticalWitness:
-    """Search the critical exponent of x_var with an explicit certificate.
-
-    alpha*a_var must be divisible by the gcd g of the other generators, so
-    alpha runs through multiples of g/gcd(g, a_var) only; each candidate is a
-    single lookup in the Apéry table of the other generators. The cap is provable:
-    (a_j/gcd(a_i, a_j))*a_i = lcm(a_i, a_j) lies in <a_j>, so the least alpha
-    is at most min_j a_j/gcd(a_i, a_j). Exceeding it means a bug.
+    ``var`` is 1-based as in x1..xn; the complement has a zero in position
+    var-1. alpha*a_var must be divisible by the gcd g of the other generators,
+    so alpha runs through multiples of g/gcd(g, a_var) only; each candidate is
+    a single lookup in the Apéry table of the other generators. The cap is
+    provable: (a_j/gcd(a_i, a_j))*a_i = lcm(a_i, a_j) lies in <a_j>, so the
+    least alpha is at most min_j a_j/gcd(a_i, a_j). Exceeding it means a bug.
     """
     var = as_integer(var, "var")
     if not 1 <= var <= S.n:
@@ -118,23 +108,18 @@ def critical_exponent(S: SemigroupSpec, var) -> CriticalWitness:
             complement = canonical_factorization(S, alpha * a_i, allowed=others)
             if complement is None:
                 raise MonocurveError("membership certificate has no factorization")
-            return CriticalWitness(var=var, exponent=alpha, complement=complement)
+            exps = tuple(alpha if j == i else 0 for j in range(S.n))
+            b = Binomial(plus=Factorization(exps, alpha * a_i), minus=complement)
+            if not b.is_homogeneous():
+                raise MonocurveError("critical binomial is not homogeneous")
+            return b
         alpha += step
     raise InternalBoundError(f"critical exponent search for x{var} exceeded {cap}")
 
 
 def full_critical_set(S: SemigroupSpec) -> list[Binomial]:
     """One critical binomial x_i^alpha_i - complement per variable."""
-    out = []
-    for var in range(1, S.n + 1):
-        w = critical_exponent(S, var)
-        exps = tuple(w.exponent if j == var - 1 else 0 for j in range(S.n))
-        plus = Factorization(exps, w.exponent * S.generators[var - 1])
-        b = Binomial(plus=plus, minus=w.complement)
-        if plus.degree != w.complement.degree:
-            raise MonocurveError("critical binomial is not homogeneous")
-        out.append(b)
-    return out
+    return [critical_exponent(S, var) for var in range(1, S.n + 1)]
 
 
 def _mask_indices(mask):

@@ -17,7 +17,6 @@ import csv
 import functools
 import gc
 import json
-import os
 import sys
 import time
 
@@ -64,8 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, jobs=False):
         p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes (default: $BETTI_JOBS or 1)")
+            p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
 
     for name, text in (("betti", "graded Betti table of one semigroup"),
                        ("gens", "minimal binomial generators and mu")):
@@ -113,19 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_table, jobs=True)
 
     return parser
-
-
-def _effective_jobs(args):
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        raw = os.environ.get("BETTI_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise MonocurveError(f"BETTI_JOBS is not an integer: {raw!r}")
-    if jobs < 1:
-        raise MonocurveError("worker count must be at least 1")
-    return jobs
 
 
 def _cmd_betti(args):
@@ -183,7 +168,7 @@ def _code(passed):
 
 def _cmd_scan(args):
     F = FamilySpec(*args.abc, offset=args.offset)
-    report = scan(F, args.j_min, args.j_max, jobs=_effective_jobs(args))
+    report = scan(F, args.j_min, args.j_max, jobs=args.jobs)
     p = report.period
     rows = [{"j": r.j, "raw": list(r.raw_generators), "generators": list(r.generators),
              "content": r.content, "totals": list(r.totals), "mu": r.mu, "ci": r.ci}
@@ -227,7 +212,7 @@ def _cmd_verify_theorem_a(args):
 
 def _cmd_verify_theorem_b(args):
     F = FamilySpec(*args.abc)
-    report = verify_theorem_b(F, args.j_min, args.j_max, jobs=_effective_jobs(args))
+    report = verify_theorem_b(F, args.j_min, args.j_max, jobs=args.jobs)
     rows = [{**r._asdict(), "ok": r.agrees} for r in report.rows]
     payload = {"family": _family_dict(F), "j_min": report.j_min, "j_max": report.j_max,
                "rows": rows, "counterexamples": [r for r in rows if not r["ok"]],
@@ -274,7 +259,7 @@ def _cmd_verify_hs3(args):
 
 
 def _cmd_table(args):
-    check = reproduce_table(args.example, jobs=_effective_jobs(args))
+    check = reproduce_table(args.example, jobs=args.jobs)
     total = len(check.expected)
     good = total - len(check.mismatches)
     payload = {"example": check.example, "family": _family_dict(check.family),

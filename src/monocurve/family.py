@@ -125,6 +125,9 @@ def worker_count(jobs, tasks):
     Usable CPUs are those this process may run on (its affinity mask, which
     taskset or a cpuset narrows), not the host's count.
     """
+    jobs = as_integer(jobs, "jobs")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be at least 1, got {jobs}")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -460,8 +463,10 @@ def load_expected_table(example: int) -> dict[int, tuple[int, ...]]:
 
 def reproduce_table(example: int, jobs: int = 1) -> TableCheck:
     """Scan the documented range and diff against the embedded golden rows."""
+    example = as_integer(example, "example")
     if example not in _EXAMPLES:
-        raise MonocurveError(f"unknown example: {example}")
+        raise InvalidInputError(f"unknown example {example}: the examples are "
+                                + ", ".join(map(str, _EXAMPLES)))
     abc, j_min, j_max = _EXAMPLES[example]
     expected = load_expected_table(example)
     F = FamilySpec(*abc, offset=1)

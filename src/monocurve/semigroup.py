@@ -171,29 +171,29 @@ class SemigroupSpec:
     """A numerical semigroup with normalization metadata.
 
     ``generators`` is the sorted, gcd-reduced tuple; ``content`` is the gcd
-    that was divided out of the raw input; ``reduced`` records whether the
-    input was already coprime. Construct through :func:`normalize`.
+    that was divided out of the raw input, 1 when it was already coprime.
+    Construct through :func:`normalize`.
     """
 
-    __slots__ = ("generators", "content", "reduced", "removed_duplicates", "_cache")
+    __slots__ = ("generators", "content", "removed_duplicates", "_cache")
 
     def __init__(self, generators, content=1, removed_duplicates=()):
         generators = tuple(as_integer(a, "generator") for a in generators)
-        if len(generators) < 2 or len(generators) > MAX_GENERATORS:
-            raise InvalidInputError(
-                f"need between 2 and {MAX_GENERATORS} generators, got {len(generators)}")
+        where = f"generators {generators}: "
+        if not 2 <= len(generators) <= MAX_GENERATORS:
+            raise InvalidInputError(f"{where}need between 2 and {MAX_GENERATORS} "
+                                    f"generators, got {len(generators)}")
         if any(a <= 0 for a in generators):
-            raise InvalidInputError("generators must be positive")
+            raise InvalidInputError(where + "generators must be positive")
         if list(generators) != sorted(generators):
-            raise InvalidInputError("generators must be sorted ascending")
+            raise InvalidInputError(where + "generators must be sorted ascending")
         if len(set(generators)) != len(generators):
-            raise InvalidInputError("duplicate generators must be removed by normalize()")
+            raise InvalidInputError(where + "duplicate generators must be removed by normalize()")
         content = as_integer(content, "content")
         if content <= 0:
             raise InvalidInputError("content must be positive")
         self.generators = generators
         self.content = content
-        self.reduced = self.content == 1
         self.removed_duplicates = tuple(removed_duplicates)
         self._cache = {}
 

@@ -71,24 +71,24 @@ def test_binomial_vector_round_trip(v):
 def test_critical_exponent_paper_family():
     S = normalize((30, 32, 35, 40))
     w = critical_exponent(S, 3)
-    assert (w.exponent, w.complement.exponents) == (2, (1, 0, 0, 1))
+    assert (w.plus.exponents[2], w.minus.exponents) == (2, (1, 0, 0, 1))
     w = critical_exponent(S, 1)
-    assert (w.exponent, w.complement.exponents) == (4, (0, 0, 0, 3))
+    assert (w.plus.exponents[0], w.minus.exponents) == (4, (0, 0, 0, 3))
     w = critical_exponent(S, 2)
-    assert (w.exponent, w.complement.exponents) == (5, (3, 0, 2, 0))
+    assert (w.plus.exponents[1], w.minus.exponents) == (5, (3, 0, 2, 0))
     w = critical_exponent(S, 4)
-    assert (w.exponent, w.complement.exponents) == (3, (4, 0, 0, 0))
+    assert (w.plus.exponents[3], w.minus.exponents) == (3, (4, 0, 0, 0))
 
 
 def test_critical_exponent_small_cases():
     S = normalize((2, 3))
-    assert critical_exponent(S, 1).exponent == 3
-    assert critical_exponent(S, 2).exponent == 2
+    assert critical_exponent(S, 1).plus.exponents[0] == 3
+    assert critical_exponent(S, 2).plus.exponents[1] == 2
     # redundant generator: 2*1 = 2 lands in <2,3,4> immediately
     S = normalize((1, 2, 3, 4))
     w = critical_exponent(S, 1)
-    assert w.exponent == 2
-    assert w.complement.degree == 2
+    assert w.plus.exponents[0] == 2
+    assert w.minus.degree == 2
     with pytest.raises(InvalidInputError):
         critical_exponent(S, 0)
     with pytest.raises(InvalidInputError):

@@ -171,6 +171,10 @@ def test_default_commands_load_no_pool_or_diff_modules():
     ("gens --gens 4,4", ["(4, 4)", "fewer than 2 distinct"]),
     ("betti --gens 10,11,12,13,14,15,16,17,18", ["(10, 11, 12, 13, 14, 15, 16, 17, 18)",
                                                  "more than 8"]),
+    ("scan --abc 2,3,5 --from 22 --to 31 --jobs 0", ["jobs must be at least 1, got 0"]),
+    ("verify theorem-b --abc 2,3,5 --from 1000 --to 1001 --jobs -2",
+     ["jobs must be at least 1, got -2"]),
+    ("table --example 1 --jobs 0", ["jobs must be at least 1, got 0"]),
 ])
 def test_input_that_checks_nothing_exits_1(argv, names):
     for fmt in ("csv", "json", "pretty"):
@@ -197,17 +201,6 @@ def test_cli_import_adds_no_dataclasses_module():
     added = json.loads(done.stdout)
     assert "monocurve.family" in added
     assert not [m for m in added if m.split(".")[0] == "dataclasses"], added
-
-
-def test_betti_jobs_env_default(monkeypatch):
-    argv = ["scan", "--abc", "2,3,5", "--from", "22", "--to", "25", "--format", "csv"]
-    _, base, _ = run_cli(argv)
-    monkeypatch.setenv("BETTI_JOBS", "2")
-    _, with_env, _ = run_cli(argv)
-    assert base == with_env
-    monkeypatch.setenv("BETTI_JOBS", "zebra")
-    code, _, err = run_cli(argv)
-    assert code == 1 and "BETTI_JOBS" in err
 
 
 def test_table_examples_pass():

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import re
 import tracemalloc
 
 import pytest
@@ -11,7 +12,7 @@ from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               ci_check_3gen, detect_period, hs3_sweep,
-                              is_complete_intersection, scan,
+                              is_complete_intersection, reproduce_table, scan,
                               verify_theorem_a, verify_theorem_b, worker_count)
 from monocurve.semigroup import normalize
 
@@ -162,6 +163,36 @@ def test_scan_with_one_worker_starts_no_pool(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     assert scan(F, 22, 31, jobs=8).rows == scan(F, 22, 31, jobs=1).rows
+
+
+@pytest.mark.parametrize("jobs, message", [
+    (1.5, "jobs must be an integer, got 1.5"),
+    ("2", "jobs must be an integer, got '2'"),
+    (0, "jobs must be at least 1, got 0"),
+    (-1, "jobs must be at least 1, got -1"),
+])
+def test_bad_jobs_are_refused_before_any_pool(monkeypatch, jobs, message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool for a refused worker count")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    F = FamilySpec(2, 3, 5)
+    for call in (lambda: scan(F, 22, 31, jobs=jobs),
+                 lambda: verify_theorem_b(F, 1000, 1009, jobs=jobs),
+                 lambda: reproduce_table(1, jobs=jobs)):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("example, message", [
+    (1.0, "example must be an integer, got 1.0"),
+    ("1", "example must be an integer, got '1'"),
+    (0, "unknown example 0: the examples are 1, 2, 3"),
+    (4, "unknown example 4: the examples are 1, 2, 3"),
+])
+def test_reproduce_table_refuses_unknown_examples(example, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        reproduce_table(example)
 
 
 def test_scan_validates_range():

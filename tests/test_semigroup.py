@@ -26,14 +26,12 @@ def test_normalize_already_reduced():
     S = normalize((30, 32, 35, 40))
     assert S.generators == (30, 32, 35, 40)
     assert S.content == 1
-    assert S.reduced
 
 
 def test_normalize_extracts_gcd():
     S = normalize((4, 6, 10))
     assert S.generators == (2, 3, 5)
     assert S.content == 2
-    assert not S.reduced
 
 
 def test_normalize_sorts():
@@ -59,6 +57,20 @@ def test_normalize_rejects_bad_input():
         normalize((4, 4))  # single distinct generator after dedup
     with pytest.raises(InvalidInputError):
         normalize(tuple(range(10, 19)))  # nine distinct generators
+
+
+@pytest.mark.parametrize("generators, reason", [
+    ((0, 5), "must be positive"),
+    ((3,), "need between 2 and 8 generators, got 1"),
+    (tuple(range(10, 19)), "need between 2 and 8 generators, got 9"),
+    ((5, 3), "must be sorted ascending"),
+    ((3, 3, 5), "must be removed by normalize()"),
+])
+def test_semigroup_spec_refusals_name_the_generators(generators, reason):
+    with pytest.raises(InvalidInputError) as info:
+        SemigroupSpec(generators)
+    message = str(info.value)
+    assert message.startswith(f"generators {generators}: ") and message.endswith(reason)
 
 
 S35 = normalize((3, 5))
