@@ -8,7 +8,7 @@ from .binomials import (Binomial, binomial_from_vector, critical_exponent,
 from .errors import (DegenerateInputError, HypothesisNotMetError,
                      InsufficientDataError, InternalBoundError,
                      InvalidInputError, InvalidPivotError, MonocurveError,
-                     MustNormalizeError, OutOfRangeError)
+                     OutOfRangeError)
 from .family import (FamilyScanReport, FamilySpec, PeriodInfo, ScanRow,
                      TableCheck, TheoremAReport, TheoremBReport, ci_check_3gen,
                      detect_period, hs3_agree, hs3_sweep,

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, MonocurveError, MustNormalizeError
+from .errors import InvalidInputError, MonocurveError
 from .semigroup import SemigroupSpec, as_integer, check_size, frobenius
 
 # candidate cells (a1 * 2**(n-1), summed over the semigroups) of one pass
@@ -268,8 +268,6 @@ def _pattern_pass(specs):
     n = specs[0].n
     nfaces = 1 << n
     tables = [S.membership for S in specs]
-    if any(t.content != 1 for t in tables):
-        raise MustNormalizeError("Betti degrees require coprime generators")
     sums = np.array([S.generators for S in specs], dtype=np.int64) @ _face_bits(n).T
     moduli = np.array([t.modulus for t in tables], dtype=np.int64)
     base = np.cumsum(moduli) - moduli

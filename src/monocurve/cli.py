@@ -23,8 +23,8 @@ import time
 from .betti import graded_betti
 from .binomials import full_critical_set, minimal_generators
 from .errors import MonocurveError
-from .family import (FamilySpec, hs3_agree, hs3_sweep, reproduce_table, scan,
-                     verify_theorem_a, verify_theorem_b)
+from .family import (_EXAMPLES, FamilySpec, hs3_agree, hs3_sweep,
+                     reproduce_table, scan, verify_theorem_a, verify_theorem_b)
 from .semigroup import frobenius, normalize
 
 SCHEMA_VERSION = "1"
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_vh)
 
     p_table = sub.add_parser("table", help="reproduce a published table and diff")
-    p_table.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
+    p_table.add_argument("--example", type=int, choices=tuple(_EXAMPLES), required=True)
     add_common(p_table, jobs=True)
 
     return parser

@@ -9,10 +9,6 @@ class InvalidInputError(MonocurveError):
     """Malformed generators, vectors, or arguments."""
 
 
-class MustNormalizeError(MonocurveError):
-    """Operation requires gcd(generators) == 1; call normalize() first."""
-
-
 class InvalidPivotError(MonocurveError):
     """Apery pivot is not a member of the semigroup."""
 

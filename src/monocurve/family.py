@@ -48,10 +48,11 @@ class FamilySpec(_Family):
 
     def __new__(cls, a, b, c, offset=1):
         a, b, c, offset = map(as_integer, (a, b, c, offset), ("a", "b", "c", "offset"))
+        where = f"family {(a, b, c)}: "
         if min(a, b, c) < 1:
-            raise InvalidInputError("family base entries must be positive")
+            raise InvalidInputError(where + "base entries must be positive")
         if offset not in (0, 1):
-            raise InvalidInputError("offset must be 0 or 1")
+            raise InvalidInputError(where + f"offset must be 0 or 1, got {offset}")
         return super().__new__(cls, a, b, c, offset)
 
     @classmethod
@@ -71,8 +72,8 @@ class FamilySpec(_Family):
     def period(self):
         return self.a + self.b + self.c
 
-    def raw_tuple(self, j):
-        s = self.offset + j
+    def shifted(self, s):
+        """The raw tuple (s, a+s, a+b+s, a+b+c+s) with leading generator s."""
         return (s, self.a + s, self.a + self.b + s, self.a + self.b + self.c + s)
 
 
@@ -111,10 +112,10 @@ def _tabled(specs):
 
 
 def _scan_rows(F: FamilySpec, js) -> list[ScanRow]:
-    specs = (normalize(F.raw_tuple(j)) for j in js)
-    return [ScanRow(j=j, raw_generators=F.raw_tuple(j), generators=S.generators,
+    raws = [F.shifted(F.offset + j) for j in js]
+    return [ScanRow(j=j, raw_generators=raw, generators=S.generators,
                     content=S.content, totals=table.totals, mu=table.mu, ci=table.mu == 3)
-            for j, (S, table) in zip(js, _tabled(specs))]
+            for j, raw, (S, table) in zip(js, raws, _tabled(map(normalize, raws)))]
 
 
 def worker_count(jobs, tasks):
@@ -319,8 +320,8 @@ class TheoremBReport(NamedTuple):
 
 
 def _tb_rows(F: FamilySpec, js) -> list[TheoremBRow]:
-    # offset 0, so j leads; is_complete_intersection finds the batch's tables cached
-    specs = (normalize(F.raw_tuple(j)) for j in js)
+    # j leads; is_complete_intersection finds the batch's tables cached
+    specs = (normalize(F.shifted(j)) for j in js)
     return [TheoremBRow(j=j, generators=S.generators, ci=is_complete_intersection(S),
                         divisible=j % F.period == 0)
             for j, (S, _) in zip(js, _tabled(specs))]
@@ -341,8 +342,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
         raise InvalidInputError("need j_min <= j_max")
-    rows = _map_ordered(functools.partial(_tb_rows, F._replace(offset=0)),
-                        range(j_min, j_max + 1), jobs)
+    rows = _map_ordered(functools.partial(_tb_rows, F), range(j_min, j_max + 1), jobs)
     bad = [r for r in rows if not r.agrees]
     return TheoremBReport(family=F, j_min=j_min, j_max=j_max,
                           rows=rows, counterexamples=bad)
@@ -418,7 +418,7 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     js = [s * n + stride * (t or 0) for _, n, t, stride in cases]
     check_ideal = F.p_c is not None and math.gcd(a, b) == 1
     rows: list[TheoremARow] = []
-    specs = (normalize(F._replace(offset=0).raw_tuple(j)) for j in js)
+    specs = (normalize(F.shifted(j)) for j in js)
     for (case, n, t, _), j, (S, _) in zip(cases, js, _tabled(specs)):
         mu = _mu_checked(S)
         ideal_ok = None

@@ -1,6 +1,11 @@
 """Numerical semigroups ⟨a1,…,an⟩: membership, Frobenius numbers, Apéry sets,
 and canonical factorizations found by greedy search.
 
+A semigroup is built only by :class:`SemigroupSpec` (also named
+:func:`normalize`), which sorts its raw input, divides out the gcd and drops
+duplicates, so every function here may assume sorted, distinct, coprime
+generators.
+
 Everything here is exact integer arithmetic. Membership lives in the Apéry
 set Ap(S, q), the least member of S in each residue class mod q, stored as an
 int64 array indexed by residue with q the least generator: m is in S iff
@@ -21,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (InvalidInputError, InvalidPivotError, MustNormalizeError,
-                     OutOfRangeError)
+from .errors import InvalidInputError, InvalidPivotError, OutOfRangeError
 
 MAX_GENERATORS = 8
 
@@ -168,33 +172,35 @@ class MembershipTable:
 
 
 class SemigroupSpec:
-    """A numerical semigroup with normalization metadata.
+    """A numerical semigroup, built from any raw tuple of positive integers.
 
-    ``generators`` is the sorted, gcd-reduced tuple; ``content`` is the gcd
-    that was divided out of the raw input, 1 when it was already coprime.
-    Construct through :func:`normalize`.
+    The defining ideal is insensitive to generator order, and joint scaling
+    leaves it unchanged, so the constructor sorts, divides out the gcd and
+    drops exact duplicates: ``generators`` is sorted, distinct and coprime
+    for every spec, ``content`` is the gcd divided out of the raw input (1
+    when it was already coprime) and ``removed_duplicates`` lists the dropped
+    repeats of the reduced tuple. :func:`normalize` is this constructor.
     """
 
     __slots__ = ("generators", "content", "removed_duplicates", "_cache")
 
-    def __init__(self, generators, content=1, removed_duplicates=()):
-        generators = tuple(as_integer(a, "generator") for a in generators)
-        where = f"generators {generators}: "
-        if not 2 <= len(generators) <= MAX_GENERATORS:
-            raise InvalidInputError(f"{where}need between 2 and {MAX_GENERATORS} "
-                                    f"generators, got {len(generators)}")
-        if any(a <= 0 for a in generators):
-            raise InvalidInputError(where + "generators must be positive")
-        if list(generators) != sorted(generators):
-            raise InvalidInputError(where + "generators must be sorted ascending")
-        if len(set(generators)) != len(generators):
-            raise InvalidInputError(where + "duplicate generators must be removed by normalize()")
-        content = as_integer(content, "content")
-        if content <= 0:
-            raise InvalidInputError("content must be positive")
-        self.generators = generators
-        self.content = content
-        self.removed_duplicates = tuple(removed_duplicates)
+    def __init__(self, raw):
+        raw = tuple(as_integer(a, "generator") for a in raw)
+        where = f"generators {raw}: "
+        if len(raw) < 2:
+            raise InvalidInputError(where + "need at least 2 generators")
+        if any(a <= 0 for a in raw):
+            raise InvalidInputError(where + "generators must be positive integers")
+        d = math.gcd(*raw)
+        reduced = sorted(a // d for a in raw)
+        kept = sorted(set(reduced))
+        if len(kept) < 2:
+            raise InvalidInputError(where + "fewer than 2 distinct generators after normalization")
+        if len(kept) > MAX_GENERATORS:
+            raise InvalidInputError(where + f"more than {MAX_GENERATORS} distinct generators")
+        self.generators = tuple(kept)
+        self.content = d
+        self.removed_duplicates = tuple(b for a, b in zip(reduced, reduced[1:]) if a == b)
         self._cache = {}
 
     def __repr__(self):
@@ -222,28 +228,8 @@ class SemigroupSpec:
             self._cache[key] = MembershipTable(tuple(self.generators[i] for i in key[1]))
         return self._cache[key]
 
-def normalize(raw) -> SemigroupSpec:
-    """Sort, divide out the gcd, and drop exact duplicates.
 
-    The defining ideal is insensitive to generator order, and joint scaling
-    leaves it unchanged, so every downstream computation assumes this form.
-    Removed duplicates are recorded on the result.
-    """
-    raw = tuple(as_integer(a, "generator") for a in raw)
-    where = f"generators {raw}: "
-    if len(raw) < 2:
-        raise InvalidInputError(where + "need at least 2 generators")
-    if any(a <= 0 for a in raw):
-        raise InvalidInputError(where + "generators must be positive integers")
-    d = math.gcd(*raw)
-    reduced = sorted(a // d for a in raw)
-    kept = sorted(set(reduced))
-    removed = [b for a, b in zip(reduced, reduced[1:]) if a == b]
-    if len(kept) < 2:
-        raise InvalidInputError(where + "fewer than 2 distinct generators after normalization")
-    if len(kept) > MAX_GENERATORS:
-        raise InvalidInputError(where + f"more than {MAX_GENERATORS} distinct generators")
-    return SemigroupSpec(tuple(kept), content=d, removed_duplicates=tuple(removed))
+normalize = SemigroupSpec
 
 
 def contains(S: SemigroupSpec, m) -> bool:
@@ -256,8 +242,6 @@ def contains(S: SemigroupSpec, m) -> bool:
 
 def frobenius(S: SemigroupSpec) -> int:
     """Largest integer not in S; -1 when S is all of the nonnegative integers."""
-    if math.gcd(*S.generators) != 1:
-        raise MustNormalizeError("Frobenius number requires coprime generators")
     return S.membership.frobenius()
 
 
@@ -266,8 +250,6 @@ def apery(S: SemigroupSpec, x) -> set[int]:
     x = as_integer(x, "x")
     if x <= 0 or not contains(S, x):
         raise InvalidPivotError(f"{x} is not a positive member of the semigroup")
-    if math.gcd(*S.generators) != 1:
-        raise MustNormalizeError("Apery sets require coprime generators")
     return set(apery_array(S.generators, x).tolist())
 
 

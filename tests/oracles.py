@@ -359,7 +359,7 @@ def shift_sequence(F: FamilySpec, j) -> SemigroupSpec:
     j = int(j)
     if j < 1:
         raise InvalidInputError("shift index must be at least 1")
-    return normalize(F.raw_tuple(j))
+    return normalize(F.shifted(F.offset + j))
 
 
 def member_array(table, bound):

@@ -15,8 +15,7 @@ from monocurve.betti import (GradedBettiTable, batches, betti_tables,
                              disconnected_degrees, graded_betti,
                              integer_matrix_rank)
 from monocurve.binomials import minimal_generators
-from monocurve.errors import (InvalidInputError, MonocurveError,
-                              MustNormalizeError, OutOfRangeError)
+from monocurve.errors import InvalidInputError, MonocurveError, OutOfRangeError
 from monocurve.family import FamilySpec, is_complete_intersection, verify_theorem_b
 from monocurve.semigroup import MAX_CELLS, SemigroupSpec, frobenius, normalize
 
@@ -177,9 +176,10 @@ def test_graded_betti_two_generators():
     assert t.rows == {0: (1, 0, 0), 6: (0, 1, 0)}
 
 
-def test_graded_betti_requires_normalized():
-    with pytest.raises(MustNormalizeError):
-        graded_betti(SemigroupSpec((2, 4)))
+def test_graded_betti_of_a_non_coprime_input():
+    S = SemigroupSpec((2, 4))
+    assert (S.generators, S.content) == ((1, 2), 2)
+    assert graded_betti(S).rows == {0: (1, 0, 0), 2: (0, 1, 0)}
 
 
 def test_structural_invariants():

@@ -330,6 +330,12 @@ def test_tracer_bindings_exist():
     assert sorted(_command_names(cli.build_parser())) == sorted(cli._DISPATCH)
 
 
+def test_table_example_choices_follow_the_examples(monkeypatch):
+    assert run_cli(["table", "--example", "4"])[:2] == (1, "")
+    monkeypatch.setitem(family._EXAMPLES, 4, ((2, 3, 5), 22, 51))
+    assert cli.build_parser().parse_args(["table", "--example", "4"]).example == 4
+
+
 def test_theorem_b_rows_call_is_complete_intersection_through_family(monkeypatch):
     calls = []
     original = family.is_complete_intersection

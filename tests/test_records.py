@@ -6,6 +6,7 @@ import ast
 import io
 import json
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -64,13 +65,22 @@ def test_record_pickles_to_an_equal_record(record):
     assert type(again) is type(record) and again == record
 
 
-@pytest.mark.parametrize("args", [(0, 3, 5), (2, -1, 5), (2, 3, 0), (2, 3, 5, 2),
-                                  (2, 3, 5, -1)])
+BAD_FAMILIES = {
+    (0, 3, 5): "family (0, 3, 5): base entries must be positive",
+    (2, -1, 5): "family (2, -1, 5): base entries must be positive",
+    (2, 3, 0): "family (2, 3, 0): base entries must be positive",
+    (2, 3, 5, 2): "family (2, 3, 5): offset must be 0 or 1, got 2",
+    (2, 3, 5, -1): "family (2, 3, 5): offset must be 0 or 1, got -1",
+}
+
+
+@pytest.mark.parametrize("args", BAD_FAMILIES)
 def test_family_spec_rejects_bad_input(args):
-    with pytest.raises(InvalidInputError):
+    message = f"^{re.escape(BAD_FAMILIES[args])}$"
+    with pytest.raises(InvalidInputError, match=message):
         FamilySpec(*args)
     F = FamilySpec(2, 3, 5)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=message):
         F._replace(**dict(zip(F._fields, args)))
 
 

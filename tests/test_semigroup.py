@@ -1,22 +1,23 @@
+import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monocurve import semigroup
 from monocurve.betti import graded_betti
 from monocurve.binomials import (binomial_from_vector, critical_exponent,
                                  kernel_member, minimal_generators)
-from monocurve.errors import (InvalidInputError, InvalidPivotError,
-                              MustNormalizeError, OutOfRangeError)
+from monocurve.errors import InvalidInputError, InvalidPivotError, OutOfRangeError
 from monocurve.family import (FamilySpec, ci_check_3gen, scan,
                               verify_theorem_a, verify_theorem_b)
-from monocurve.semigroup import (MAX_CELLS, MembershipTable, SemigroupSpec,
-                                 apery, canonical_factorization, canonical_key,
-                                 contains, frobenius, normalize)
+from monocurve.semigroup import (MAX_CELLS, MAX_GENERATORS, MembershipTable,
+                                 SemigroupSpec, apery, canonical_factorization,
+                                 canonical_key, contains, frobenius, normalize)
 
 from oracles import (brute_apery, brute_factorizations, brute_frobenius,
                      brute_members, member_array)
@@ -61,16 +62,50 @@ def test_normalize_rejects_bad_input():
 
 @pytest.mark.parametrize("generators, reason", [
     ((0, 5), "must be positive"),
-    ((3,), "need between 2 and 8 generators, got 1"),
-    (tuple(range(10, 19)), "need between 2 and 8 generators, got 9"),
-    ((5, 3), "must be sorted ascending"),
-    ((3, 3, 5), "must be removed by normalize()"),
+    ((3,), "at least 2"),
+    (tuple(range(10, 19)), "more than 8"),
+    ((8, 8), "fewer than 2"),
 ])
 def test_semigroup_spec_refusals_name_the_generators(generators, reason):
     with pytest.raises(InvalidInputError) as info:
         SemigroupSpec(generators)
     message = str(info.value)
-    assert message.startswith(f"generators {generators}: ") and message.endswith(reason)
+    assert message.startswith(f"generators {generators}: ") and reason in message
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=10),
+       st.integers(min_value=1, max_value=12))
+@example([35, 30, 40, 32, 30], 2)
+@example([7], 5)
+@example([9, 3, 6, 3, 9, 12, 15, 18, 21, 24], 1)
+@settings(max_examples=300, deadline=None)
+def test_semigroup_spec_matches_a_plain_model(base, factor):
+    assert normalize is SemigroupSpec
+    # unsorted, with repeats and a common factor, as the family rows and the CLI pass them
+    raw = [factor * x for x in base]
+    d = math.gcd(*raw)
+    reduced = sorted(x // d for x in raw)
+    kept = sorted(set(reduced))
+    if len(raw) < 2 or not 2 <= len(kept) <= MAX_GENERATORS:
+        with pytest.raises(InvalidInputError) as info:
+            SemigroupSpec(raw)
+        assert str(info.value).startswith(f"generators {tuple(raw)}: ")
+        return
+    S = SemigroupSpec(raw)
+    assert S.generators == tuple(kept) and S.content == d
+    assert math.gcd(*S.generators) == 1
+    assert S.removed_duplicates == tuple(sorted((Counter(reduced) - Counter(kept)).elements()))
+
+
+@given(st.lists(st.integers(min_value=2, max_value=25), min_size=2, max_size=4, unique=True),
+       st.integers(min_value=1, max_value=9), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_graded_betti_ignores_scale_order_and_repeats(base, factor, rnd):
+    raw = [factor * x for x in base + rnd.choices(base, k=rnd.randint(0, 3))]
+    rnd.shuffle(raw)
+    d = math.gcd(*base)
+    reduced = tuple(sorted(x // d for x in base))
+    assert graded_betti(SemigroupSpec(raw)) == graded_betti(SemigroupSpec(reduced))
 
 
 S35 = normalize((3, 5))
@@ -79,7 +114,6 @@ S35 = normalize((3, 5))
 @pytest.mark.parametrize("call, bad", [
     pytest.param(lambda: normalize((3.7, 5.2)), "3.7", id="normalize"),
     pytest.param(lambda: normalize((3, "5")), "'5'", id="normalize-str"),
-    pytest.param(lambda: SemigroupSpec((3, 5), content=1.5), "1.5", id="SemigroupSpec"),
     pytest.param(lambda: contains(S35, 7.9), "7.9", id="contains"),
     pytest.param(lambda: contains(S35, Fraction(8)), "Fraction(8, 1)", id="contains-fraction"),
     pytest.param(lambda: apery(S35, 5.0), "5.0", id="apery"),
@@ -152,9 +186,9 @@ def test_frobenius_whole_line():
     assert frobenius(normalize((1, 2))) == -1
 
 
-def test_frobenius_requires_coprime():
-    with pytest.raises(MustNormalizeError):
-        frobenius(SemigroupSpec((2, 4)))
+def test_frobenius_of_a_non_coprime_input():
+    S = SemigroupSpec((2, 4))
+    assert (S.generators, S.content, frobenius(S)) == ((1, 2), 2, -1)
 
 
 def test_frobenius_gap_plus_one_is_member():
