@@ -199,40 +199,45 @@ def _skeleton_components(nvars, faceset) -> tuple[int, ...]:
 
 
 def _candidate_cells(S: SemigroupSpec):
-    return S.generators[0] << (S.n - 1)
-
-
-def _check_candidates(S: SemigroupSpec):
-    check_size(S.generators, _candidate_cells(S), "candidate degrees")
+    """a1 * 2**(n-1), checked against ``MAX_CELLS`` once per semigroup."""
+    if "cells" not in S._cache:
+        cells = S.generators[0] << (S.n - 1)
+        check_size(S.generators, cells, "candidate degrees")
+        S._cache["cells"] = cells
+    return S._cache["cells"]
 
 
 def default_bound(S: SemigroupSpec) -> int:
     """Degrees above this give the full simplex, hence zero homology."""
-    _check_candidates(S)
+    _candidate_cells(S)
     return frobenius(S) + sum(S.generators)
 
 
 def batches(specs):
     """Consecutive runs of ``specs``, in order, each evaluated in one pass.
 
-    A run closes before its candidate cells would pass ``_CHUNK_CELLS`` (a
-    larger semigroup runs alone), which keeps the arrays of a pass small, and
-    before its sort keys could reach 2**62: a semigroup's candidates lie below
-    a1 * 2**(n-1) * an (an Apéry element is a sum of at most a1 - 1
-    generators), and a key is index * span + degree.
+    Each semigroup is checked as it joins a run: it needs the first one's
+    number of generators, and its candidate cells must stay within
+    ``MAX_CELLS``. A run closes before its candidate cells would pass
+    ``_CHUNK_CELLS`` (a larger semigroup runs alone), which keeps the arrays
+    of a pass small, and before its sort keys could reach 2**62: a
+    semigroup's candidates lie below a1 * 2**(n-1) * an (an Apéry element is
+    a sum of at most a1 - 1 generators), and a key is index * span + degree.
     """
-    chunk, cells, reach = [], 0, 0
+    run, cells, reach = [], 0, 0
     for S in specs:
+        if run and S.n != run[0].n:
+            raise InvalidInputError("a batch needs semigroups with the same number of generators")
         c = _candidate_cells(S)
         r = max(reach, c * S.generators[-1])
-        if chunk and (cells + c > _CHUNK_CELLS or (len(chunk) + 1) * r >= 1 << 62):
-            yield chunk
-            chunk, cells, r = [], 0, c * S.generators[-1]
-        chunk.append(S)
+        if run and (cells + c > _CHUNK_CELLS or (len(run) + 1) * r >= 1 << 62):
+            yield run
+            run, cells, r = [], 0, c * S.generators[-1]
+        run.append(S)
         cells += c
         reach = r
-    if chunk:
-        yield chunk
+    if run:
+        yield run
 
 
 @functools.cache
@@ -319,7 +324,7 @@ def _pattern_pass(specs):
 def _read_bound(S: SemigroupSpec, bound) -> int:
     """A caller's degree bound as an int, after the size check; never negative."""
     bound = as_integer(bound, "bound")
-    _check_candidates(S)
+    _candidate_cells(S)
     if bound < 0:
         raise InvalidInputError(f"generators {S.generators}: bound {bound} is negative")
     return bound
@@ -332,9 +337,9 @@ def degree_patterns(S: SemigroupSpec, bound):
     degree has zero Betti numbers (module docstring). ``degrees`` ascends,
     degree ``degrees[k]`` has the face-set integer ``faces[inverse[k]]``, and
     ``counts[u]`` degrees share ``faces[u]``, which keep the batch's order.
-    The pass runs once per semigroup, as a batch of one unless a batch
-    already cached the semigroup's views of it (:func:`_pattern_pass`), and
-    ``bound`` cuts its ascending degrees.
+    The pattern pass runs as a batch of one unless a batch already cached
+    the semigroup's views of it (:func:`_pattern_pass`), and ``bound`` cuts
+    its ascending degrees.
     """
     bound = _read_bound(S, bound)
     if "patterns" not in S._cache:
@@ -388,33 +393,26 @@ def _table_pass(specs, owner, degrees, faces, inverse):
         S._cache["table"] = GradedBettiTable(rows=r, totals=t)
 
 
+def evaluate_run(run) -> list[GradedBettiTable]:
+    """The full table of each member of a run of :func:`batches`, in order: the
+    members without a cached table go through one pattern pass and one table
+    pass together, which cache their patterns and tables."""
+    fresh = [S for S in run if "table" not in S._cache]
+    if fresh:
+        _table_pass(fresh, *_pattern_pass(fresh))
+    return [S._cache["table"] for S in run]
+
+
 def betti_tables(specs) -> list[GradedBettiTable]:
     """Full :func:`graded_betti` of each semigroup, with one pass per batch.
 
-    All semigroups need the same number of generators. Every one is checked
-    against ``MAX_CELLS`` before any Apéry table is built; then each run of
-    :func:`batches` stacks its candidates, tests membership, deduplicates
-    complexes and ranks each distinct complex once. Tables and patterns are
-    cached on each semigroup, so later calls are lookups; a member whose
-    patterns alone are cached is ranked from them, not passed again.
+    All semigroups need the same number of generators. :func:`batches`
+    checks every one against ``MAX_CELLS`` before any Apéry table is built;
+    then each run's pass stacks its candidates, tests membership, deduplicates
+    complexes and ranks each distinct complex once (:func:`evaluate_run`).
     """
-    specs = list(specs)
-    if len({S.n for S in specs}) > 1:
-        raise InvalidInputError("a batch needs semigroups with the same number of generators")
-    for S in specs:
-        _check_candidates(S)
-    out = []
-    for chunk in batches(specs):
-        todo = [S for S in chunk if "table" not in S._cache]
-        fresh = [S for S in todo if "patterns" not in S._cache]
-        if fresh:
-            _table_pass(fresh, *_pattern_pass(fresh))
-        for S in todo:
-            if "table" not in S._cache:  # its patterns were cached: rank those
-                degrees, faces, inverse, _ = degree_patterns(S, default_bound(S))
-                _table_pass([S], np.zeros_like(inverse), degrees, faces, inverse)
-        out.extend(S._cache["table"] for S in chunk)
-    return out
+    runs = list(batches(specs))
+    return [table for run in runs for table in evaluate_run(run)]
 
 
 def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:

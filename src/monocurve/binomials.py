@@ -58,7 +58,7 @@ def kernel_member(S: SemigroupSpec, v) -> bool:
     """True iff v is orthogonal to the generators."""
     v = tuple(as_integer(x, "vector entry") for x in v)
     if len(v) != S.n:
-        raise InvalidInputError("vector length does not match generator count")
+        raise InvalidInputError(f"generators {S.generators}: vector {v} does not match their count")
     return sum(x * a for x, a in zip(v, S.generators)) == 0
 
 
@@ -70,7 +70,7 @@ def binomial_from_vector(v, gens) -> Binomial:
     """
     v = tuple(as_integer(x, "vector entry") for x in v)
     if len(v) != len(gens):
-        raise InvalidInputError("vector length does not match generator count")
+        raise InvalidInputError(f"generators {tuple(gens)}: vector {v} does not match their count")
     if not any(v):
         raise DegenerateInputError("zero vector has no binomial")
     plus = tuple(max(x, 0) for x in v)

@@ -15,13 +15,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 import os
 from importlib.resources import files
 from typing import NamedTuple
 
-from .betti import batches, betti_tables, graded_betti
+from .betti import batches, evaluate_run, graded_betti
 from .binomials import (Binomial, binomial_from_vector, generates,
                         kernel_member, minimal_generators)
 from .errors import (HypothesisNotMetError, InsufficientDataError,
@@ -104,11 +103,11 @@ class FamilyScanReport(NamedTuple):
 def _tabled(specs):
     """(semigroup, Betti table) for each of ``specs`` in order, one pass per batch.
 
-    Only one batch of semigroups is alive at a time, so memory stays flat
-    however long the sweep.
+    Runs are evaluated as :func:`batches` forms and checks them, so only one
+    is alive at a time and memory stays flat however long the sweep.
     """
-    for chunk in batches(specs):
-        yield from zip(chunk, betti_tables(chunk))
+    for run in batches(specs):
+        yield from zip(run, evaluate_run(run))
 
 
 def _scan_rows(F: FamilySpec, js) -> list[ScanRow]:
@@ -158,7 +157,7 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     """
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     if j_min < 1 or j_min > j_max:
-        raise InvalidInputError("need 1 <= j_min <= j_max")
+        raise InvalidInputError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
     rows = _map_ordered(functools.partial(_scan_rows, F), range(j_min, j_max + 1), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
@@ -202,7 +201,7 @@ def is_complete_intersection(S: SemigroupSpec) -> bool:
     against the first Betti total of the homology route.
     """
     if S.n != 4:
-        raise InvalidInputError("complete-intersection test expects 4 generators")
+        raise InvalidInputError(f"generators {S.generators}: the CI test expects 4 generators")
     return _mu_checked(S) == 3
 
 
@@ -229,12 +228,12 @@ def ci_check_3gen(q, a, b) -> bool:
     """
     q, a, b = as_integer(q, "q"), as_integer(a, "a"), as_integer(b, "b")
     if min(q, a, b) < 1:
-        raise InvalidInputError("q, a, b must be positive")
+        raise InvalidInputError(f"q={q}, a={a}, b={b}: q, a, b must be positive")
     if math.gcd(q, a, b) != 1:
         # the criterion is stated for numerical semigroups; with common content
         # d > 1 its arithmetic answers for the unreduced tuple and disagrees
         # with the ideal of the reduced one (e.g. q,a,b = 60,3,6)
-        raise InvalidInputError("gcd(q, a, b) must be 1")
+        raise InvalidInputError(f"q={q}, a={a}, b={b}: gcd(q, a, b) must be 1")
     if q < _hs3_min_q(a, b):
         raise OutOfRangeError(
             f"q={q} below max(ab+b^2, ab+a^2); the criterion makes no claim")
@@ -263,14 +262,15 @@ def hs3_sweep(q_max, ab_max):
     coprime a, b with a + b <= ab_max and every q from the criterion's
     threshold to q_max, the semigroups evaluated in batches; each
     disagreement is a dict with keys q, a, b, lemma_ci and mu. Triples are
-    made as the batches consume them, so memory stays flat in q_max. A sweep
-    with no triple to check is refused rather than reported as a pass."""
-    triples, again = itertools.tee(
-        (q, a, s - a) for s in range(2, ab_max + 1) for a in range(1, s)
-        if math.gcd(a, s - a) == 1 for q in range(_hs3_min_q(a, s - a), q_max + 1))
-    specs = (normalize((q, q + a, q + a + b)) for q, a, b in again)
+    made as the batches consume them, so memory stays flat in q_max, and read
+    back from the generators (q, q+a, q+a+b), which gcd(a, b) = 1 keeps. A
+    sweep with no triple to check is refused rather than reported as a pass."""
+    specs = (normalize((q, q + a, q + s)) for s in range(2, ab_max + 1) for a in range(1, s)
+             if math.gcd(a, s - a) == 1 for q in range(_hs3_min_q(a, s - a), q_max + 1))
     checked, bad = 0, []
-    for (q, a, b), (_, table) in zip(triples, _tabled(specs)):
+    for S, table in _tabled(specs):
+        q, qa, qab = S.generators
+        a, b = qa - q, qab - qa
         checked += 1
         lemma = ci_check_3gen(q, a, b)
         if lemma != (table.mu == 2):
@@ -341,7 +341,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
     if j_min < cube:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
-        raise InvalidInputError("need j_min <= j_max")
+        raise InvalidInputError(f"need j_min <= j_max, got j_min={j_min}, j_max={j_max}")
     rows = _map_ordered(functools.partial(_tb_rows, F), range(j_min, j_max + 1), jobs)
     bad = [r for r in rows if not r.agrees]
     return TheoremBReport(family=F, j_min=j_min, j_max=j_max,
@@ -406,7 +406,7 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     _require_theorem_hypotheses(F)
     n_max = as_integer(n_max, "n_max")
     if n_max < 1:
-        raise InvalidInputError("n_max must be at least 1")
+        raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
     a, b, c = F.a, F.b, F.c
     s = F.period
     # (case, n, t, stride): case i has j = s*n, cases ii and iii j = s*n + stride*t

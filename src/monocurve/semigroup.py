@@ -130,7 +130,7 @@ class MembershipTable:
     def __init__(self, generators):
         generators = tuple(as_integer(a, "generator") for a in generators)
         if any(a <= 0 for a in generators):
-            raise InvalidInputError("generators must be positive integers")
+            raise InvalidInputError(f"generators {generators}: must be positive integers")
         if generators:
             self.content = math.gcd(*generators)
             reduced = [a // self.content for a in generators]
@@ -177,12 +177,11 @@ class SemigroupSpec:
     The defining ideal is insensitive to generator order, and joint scaling
     leaves it unchanged, so the constructor sorts, divides out the gcd and
     drops exact duplicates: ``generators`` is sorted, distinct and coprime
-    for every spec, ``content`` is the gcd divided out of the raw input (1
-    when it was already coprime) and ``removed_duplicates`` lists the dropped
-    repeats of the reduced tuple. :func:`normalize` is this constructor.
+    for every spec, and ``content`` is the gcd divided out of the raw input
+    (1 when it was already coprime). :func:`normalize` is this constructor.
     """
 
-    __slots__ = ("generators", "content", "removed_duplicates", "_cache")
+    __slots__ = ("generators", "content", "_cache")
 
     def __init__(self, raw):
         raw = tuple(as_integer(a, "generator") for a in raw)
@@ -192,15 +191,13 @@ class SemigroupSpec:
         if any(a <= 0 for a in raw):
             raise InvalidInputError(where + "generators must be positive integers")
         d = math.gcd(*raw)
-        reduced = sorted(a // d for a in raw)
-        kept = sorted(set(reduced))
+        kept = sorted({a // d for a in raw})
         if len(kept) < 2:
             raise InvalidInputError(where + "fewer than 2 distinct generators after normalization")
         if len(kept) > MAX_GENERATORS:
             raise InvalidInputError(where + f"more than {MAX_GENERATORS} distinct generators")
         self.generators = tuple(kept)
         self.content = d
-        self.removed_duplicates = tuple(b for a, b in zip(reduced, reduced[1:]) if a == b)
         self._cache = {}
 
     def __repr__(self):
@@ -236,7 +233,7 @@ def contains(S: SemigroupSpec, m) -> bool:
     """True iff m is a nonnegative integer combination of the generators."""
     m = as_integer(m, "m")
     if m < 0:
-        raise InvalidInputError("membership is defined for nonnegative integers")
+        raise InvalidInputError(f"m={m}: membership is defined for nonnegative integers")
     return S.membership.contains(m)
 
 

@@ -477,7 +477,8 @@ def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound
     batch = [normalize(r) for r in raws]
     assert len(list(batches(batch))) == 1
     graded_betti(batch[0], bound)  # tabled in full, whatever the bound
-    minimal_generators(batch[2], bound)  # patterns only: tabled from them, not passed again
+    # patterns only: passed again with the members that have no table, to the same table
+    minimal_generators(batch[2], bound)
     passes = []
     original = betti._pattern_pass
 
@@ -487,7 +488,7 @@ def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound
 
     monkeypatch.setattr(betti, "_pattern_pass", counted)
     assert betti_tables(batch) == alone
-    assert passes == [[raws[1], raws[3]]]
+    assert passes == [[raws[1], raws[2], raws[3]]]
     for S, single in zip(batch, singles):
         b = default_bound(S) if bound is None else bound
         assert graded_betti(S, b) == graded_betti(single, b), S

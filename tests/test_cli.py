@@ -175,6 +175,10 @@ def test_default_commands_load_no_pool_or_diff_modules():
     ("verify theorem-b --abc 2,3,5 --from 1000 --to 1001 --jobs -2",
      ["jobs must be at least 1, got -2"]),
     ("table --example 1 --jobs 0", ["jobs must be at least 1, got 0"]),
+    ("scan --abc 2,3,5 --from 5 --to 2", ["j_min=5", "j_max=2"]),
+    ("verify theorem-b --abc 2,3,5 --from 1001 --to 1000", ["j_min=1001", "j_max=1000"]),
+    ("verify theorem-a --abc 2,3,5 --n-max 0", ["n_max must be at least 1, got 0"]),
+    ("verify hs3 --q 60 --a 3 --b 6", ["q=60", "a=3", "b=6"]),
 ])
 def test_input_that_checks_nothing_exits_1(argv, names):
     for fmt in ("csv", "json", "pretty"):

@@ -1,20 +1,21 @@
 import concurrent.futures
 import os
+from collections import Counter
 import re
 import tracemalloc
 
 import pytest
 
-from monocurve import family
+from monocurve import betti, family
 from monocurve.binomials import (binomial_from_vector, generates,
-                                 minimal_generators)
+                                 kernel_member, minimal_generators)
 from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
                               InvalidInputError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               ci_check_3gen, detect_period, hs3_sweep,
                               is_complete_intersection, reproduce_table, scan,
                               verify_theorem_a, verify_theorem_b, worker_count)
-from monocurve.semigroup import normalize
+from monocurve.semigroup import MembershipTable, contains, normalize
 
 from oracles import (brute_mu, ideal_equivalent, shift_sequence,
                      shifted_kernel_member)
@@ -349,10 +350,10 @@ def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
     class FirstBatch(Exception):
         pass
 
-    def stop(chunk):
-        raise FirstBatch(len(chunk))
+    def stop(run):
+        raise FirstBatch(len(run))
 
-    monkeypatch.setattr(family, "betti_tables", stop)
+    monkeypatch.setattr(family, "evaluate_run", stop)
     peaks = []
     for q_max in (1000, 4000):
         tracemalloc.start()
@@ -364,3 +365,49 @@ def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
             tracemalloc.stop()
         assert first.value.args[0] > 1
     assert peaks[1] < peaks[0] + 200_000, peaks
+
+
+def test_a_sweep_checks_each_semigroup_once(monkeypatch):
+    # a semigroup is checked against MAX_CELLS as it joins its run; the
+    # batch's pass, and is_complete_intersection's table, bound and patterns
+    # after it, find it checked
+    checks = Counter()
+    original = betti.check_size
+
+    def counted(generators, cells, what):
+        checks[tuple(generators)] += 1
+        return original(generators, cells, what)
+
+    monkeypatch.setattr(betti, "check_size", counted)
+    checked, _ = hs3_sweep(40, 5)
+    assert len(checks) == checked and set(checks.values()) == {1}
+    checks.clear()
+    report = verify_theorem_b(FamilySpec(2, 3, 5), 1000, 1011)
+    assert sorted(checks) == sorted(r.generators for r in report.rows)
+    assert set(checks.values()) == {1}
+
+
+_REFUSALS = {
+    "scan-order": (lambda: scan(FamilySpec(2, 3, 5), 5, 2), "j_min=5, j_max=2"),
+    "scan-start": (lambda: scan(FamilySpec(2, 3, 5), 0, 2), "j_min=0, j_max=2"),
+    "theorem-b": (lambda: verify_theorem_b(FamilySpec(2, 3, 5), 1001, 1000),
+                  "j_min=1001, j_max=1000"),
+    "theorem-a": (lambda: verify_theorem_a(FamilySpec(2, 3, 5), 0), "at least 1, got 0"),
+    "hs3-sign": (lambda: ci_check_3gen(0, 3, 6), "q=0, a=3, b=6"),
+    "hs3-gcd": (lambda: ci_check_3gen(60, 3, 6), "q=60, a=3, b=6"),
+    "ci-test": (lambda: is_complete_intersection(normalize((3, 5, 7))), "generators (3, 5, 7)"),
+    "membership-table": (lambda: MembershipTable((3, 0, 5)), "generators (3, 0, 5)"),
+    "contains": (lambda: contains(normalize((3, 5)), -4), "m=-4"),
+    "kernel-member": (lambda: kernel_member(normalize((3, 5, 7)), (5, -3)),
+                      "generators (3, 5, 7): vector (5, -3)"),
+    "binomial": (lambda: binomial_from_vector((5, -3), (3, 5, 7)),
+                 "generators (3, 5, 7): vector (5, -3)"),
+}
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_refusals_name_their_input(case):
+    call, names = _REFUSALS[case]
+    with pytest.raises(InvalidInputError) as info:
+        call()
+    assert names in str(info.value)

@@ -1,6 +1,5 @@
 import math
 import re
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +41,6 @@ def test_normalize_sorts():
 def test_normalize_records_duplicates():
     S = normalize((6, 4, 6, 10))
     assert S.generators == (2, 3, 5)
-    assert S.removed_duplicates == (3,)
 
 
 def test_normalize_rejects_bad_input():
@@ -94,7 +92,6 @@ def test_semigroup_spec_matches_a_plain_model(base, factor):
     S = SemigroupSpec(raw)
     assert S.generators == tuple(kept) and S.content == d
     assert math.gcd(*S.generators) == 1
-    assert S.removed_duplicates == tuple(sorted((Counter(reduced) - Counter(kept)).elements()))
 
 
 @given(st.lists(st.integers(min_value=2, max_value=25), min_size=2, max_size=4, unique=True),
