@@ -5,15 +5,12 @@ from .betti import GradedBettiTable, betti_tables, default_bound, graded_betti
 from .binomials import (Binomial, binomial_from_vector, critical_exponent,
                         full_critical_set, generates, kernel_member,
                         minimal_generators)
-from .errors import (DegenerateInputError, HypothesisNotMetError,
-                     InsufficientDataError, InternalBoundError,
-                     InvalidInputError, InvalidPivotError, MonocurveError,
+from .errors import (HypothesisNotMetError, InvalidInputError, MonocurveError,
                      OutOfRangeError)
 from .family import (FamilyScanReport, FamilySpec, PeriodInfo, ScanRow,
-                     TableCheck, TheoremAReport, TheoremBReport, ci_check_3gen,
-                     detect_period, hs3_agree, hs3_sweep,
-                     is_complete_intersection, reproduce_table, scan,
-                     verify_theorem_a, verify_theorem_b)
+                     TableCheck, TheoremReport, ci_check_3gen, detect_period,
+                     hs3_agree, hs3_sweep, is_complete_intersection,
+                     reproduce_table, scan, verify_theorem_a, verify_theorem_b)
 from .semigroup import (Factorization, MembershipTable, SemigroupSpec, apery,
                         contains, frobenius, normalize)
 

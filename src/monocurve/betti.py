@@ -74,6 +74,12 @@ class GradedBettiTable(NamedTuple):
     def mu(self):
         return self.totals[1]
 
+    @property
+    def ci(self):
+        """Complete intersection: mu = n - 1, the height of the defining ideal
+        of a monomial curve in A^n (the totals run over beta_0..beta_n)."""
+        return self.mu == len(self.totals) - 2
+
 
 def integer_matrix_rank(rows) -> int:
     """Exact rank of an integer matrix by fraction-free Bareiss elimination."""

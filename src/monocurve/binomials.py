@@ -15,8 +15,7 @@ import math
 from typing import NamedTuple
 
 from . import betti
-from .errors import (DegenerateInputError, InternalBoundError,
-                     InvalidInputError, MonocurveError)
+from .errors import InvalidInputError, MonocurveError
 from .semigroup import (Factorization, SemigroupSpec, as_integer,
                         canonical_factorization, canonical_key)
 
@@ -72,7 +71,7 @@ def binomial_from_vector(v, gens) -> Binomial:
     if len(v) != len(gens):
         raise InvalidInputError(f"generators {tuple(gens)}: vector {v} does not match their count")
     if not any(v):
-        raise DegenerateInputError("zero vector has no binomial")
+        raise InvalidInputError("zero vector has no binomial")
     plus = tuple(max(x, 0) for x in v)
     minus = tuple(max(-x, 0) for x in v)
     return Binomial(
@@ -114,7 +113,7 @@ def critical_exponent(S: SemigroupSpec, var) -> Binomial:
                 raise MonocurveError("critical binomial is not homogeneous")
             return b
         alpha += step
-    raise InternalBoundError(f"critical exponent search for x{var} exceeded {cap}")
+    raise MonocurveError(f"critical exponent search for x{var} exceeded {cap}")
 
 
 def full_critical_set(S: SemigroupSpec) -> list[Binomial]:

@@ -22,7 +22,7 @@ import time
 
 from .betti import graded_betti
 from .binomials import full_critical_set, minimal_generators
-from .errors import MonocurveError
+from .errors import InvalidInputError, MonocurveError
 from .family import (_EXAMPLES, FamilySpec, hs3_agree, hs3_sweep,
                      reproduce_table, scan, verify_theorem_a, verify_theorem_b)
 from .semigroup import frobenius, normalize
@@ -189,14 +189,19 @@ def _cmd_scan(args):
     return EXIT_OK, payload, pretty, header, csv_rows
 
 
+def _theorem(report, head, pretty, header):
+    """A theorem command's output: the handler's ``head`` payload fields,
+    pretty lines and CSV header, with the rows and verdicts of ``report``."""
+    rows = [{**r._asdict(), "ok": r.agrees} for r in report.rows]
+    payload = {"family": _family_dict(report.family), **head, "rows": rows,
+               "counterexamples": [r for r in rows if not r["ok"]],
+               "passed": report.passed}
+    return _code(report.passed), payload, pretty, header, _columns(header, rows)
+
+
 def _cmd_verify_theorem_a(args):
     F = FamilySpec(*args.abc)
     report = verify_theorem_a(F, args.n_max, include_t=args.include_t)
-    rows = [{**r._asdict(), "ok": r.agrees} for r in report.rows]
-    payload = {"family": _family_dict(F), "n_max": args.n_max,
-               "include_t": args.include_t, "rows": rows,
-               "counterexamples": [r for r in rows if not r["ok"]],
-               "passed": report.passed}
     pretty = [f"theorem-a family=({F.a},{F.b},{F.c}) n_max={args.n_max}"]
     for r in report.rows:
         ideal = {None: "", True: " ideal=match", False: " ideal=MISMATCH"}[r.ideal_matches]
@@ -206,20 +211,16 @@ def _cmd_verify_theorem_a(args):
                       f"expected={r.expected_mu}{ideal} {status}")
     pretty.append("passed" if report.passed
                   else f"FAILED: {len(report.counterexamples)} counterexample(s)")
-    header = ["case", "n", "t", "j", "mu", "expected_mu", "ideal_matches", "ok"]
-    return _code(report.passed), payload, pretty, header, _columns(header, rows)
+    return _theorem(report, {"n_max": args.n_max, "include_t": args.include_t}, pretty,
+                    ["case", "n", "t", "j", "mu", "expected_mu", "ideal_matches", "ok"])
 
 
 def _cmd_verify_theorem_b(args):
     F = FamilySpec(*args.abc)
     report = verify_theorem_b(F, args.j_min, args.j_max, jobs=args.jobs)
-    rows = [{**r._asdict(), "ok": r.agrees} for r in report.rows]
-    payload = {"family": _family_dict(F), "j_min": report.j_min, "j_max": report.j_max,
-               "rows": rows, "counterexamples": [r for r in rows if not r["ok"]],
-               "passed": report.passed}
     ci_at = [r.j for r in report.rows if r.ci]
     pretty = [
-        f"theorem-b family=({F.a},{F.b},{F.c}) j={report.j_min}..{report.j_max}",
+        f"theorem-b family=({F.a},{F.b},{F.c}) j={args.j_min}..{args.j_max}",
         f"checked {len(report.rows)} shifts, "
         + ("all agree with (a+b+c) | j" if report.passed
            else f"{len(report.counterexamples)} counterexample(s)"),
@@ -227,23 +228,23 @@ def _cmd_verify_theorem_b(args):
     ]
     for r in report.counterexamples:
         pretty.append(f"COUNTEREXAMPLE j={r.j} ci={r.ci} divisible={r.divisible}")
-    header = ["j", "ci", "divisible", "ok"]
-    return _code(report.passed), payload, pretty, header, _columns(header, rows)
+    return _theorem(report, {"j_min": args.j_min, "j_max": args.j_max}, pretty,
+                    ["j", "ci", "divisible", "ok"])
 
 
 def _cmd_verify_hs3(args):
     triple = (args.q, args.a, args.b)
     if any(v is not None for v in triple):
         if any(v is None for v in triple):
-            raise MonocurveError("hs3 single mode needs all of --q, --a, --b")
+            raise InvalidInputError("hs3 single mode needs all of --q, --a, --b")
         q, a, b = triple
-        lemma, mu, agree = hs3_agree(q, a, b)
-        payload = {"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": mu,
-                   "pipeline_ci": mu == 2, "passed": agree}
-        pretty = [f"hs3 q={q} a={a} b={b}: lemma={lemma} mu={mu} "
+        lemma, table, agree = hs3_agree(q, a, b)
+        payload = {"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": table.mu,
+                   "pipeline_ci": table.ci, "passed": agree}
+        pretty = [f"hs3 q={q} a={a} b={b}: lemma={lemma} mu={table.mu} "
                   + ("agree" if agree else "DISAGREE")]
         return (_code(agree), payload, pretty, ["q", "a", "b", "lemma_ci", "mu", "ok"],
-                [[q, a, b, lemma, mu, agree]])
+                [[q, a, b, lemma, table.mu, agree]])
 
     checked, bad = hs3_sweep(args.q_max, args.ab_max)
     payload = {"q_max": args.q_max, "ab_max": args.ab_max,

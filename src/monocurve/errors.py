@@ -2,23 +2,13 @@
 
 
 class MonocurveError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package, and the error of a
+    failed internal check or an exceeded safety cap."""
 
 
 class InvalidInputError(MonocurveError):
-    """Malformed generators, vectors, or arguments."""
-
-
-class InvalidPivotError(MonocurveError):
-    """Apery pivot is not a member of the semigroup."""
-
-
-class DegenerateInputError(MonocurveError):
-    """Zero lattice vector where a binomial was expected."""
-
-
-class InternalBoundError(MonocurveError):
-    """A safety cap was exceeded; indicates a bug or absurd input."""
+    """Malformed generators, vectors or arguments: a pivot outside the
+    semigroup, a zero vector, a scan too short for period detection."""
 
 
 class OutOfRangeError(MonocurveError):
@@ -28,7 +18,3 @@ class OutOfRangeError(MonocurveError):
 
 class HypothesisNotMetError(MonocurveError):
     """The family lacks the structure the theorem requires."""
-
-
-class InsufficientDataError(MonocurveError):
-    """Scan window too small for the requested analysis."""

@@ -23,8 +23,8 @@ from typing import NamedTuple
 from .betti import batches, evaluate_run, graded_betti
 from .binomials import (Binomial, binomial_from_vector, generates,
                         kernel_member, minimal_generators)
-from .errors import (HypothesisNotMetError, InsufficientDataError,
-                     InvalidInputError, MonocurveError, OutOfRangeError)
+from .errors import (HypothesisNotMetError, InvalidInputError,
+                     MonocurveError, OutOfRangeError)
 from .semigroup import SemigroupSpec, as_integer, normalize
 
 
@@ -113,7 +113,7 @@ def _tabled(specs):
 def _scan_rows(F: FamilySpec, js) -> list[ScanRow]:
     raws = [F.shifted(F.offset + j) for j in js]
     return [ScanRow(j=j, raw_generators=raw, generators=S.generators,
-                    content=S.content, totals=table.totals, mu=table.mu, ci=table.mu == 3)
+                    content=S.content, totals=table.totals, mu=table.mu, ci=table.ci)
             for j, raw, (S, table) in zip(js, raws, _tabled(map(normalize, raws)))]
 
 
@@ -174,7 +174,7 @@ def detect_period(report: FamilyScanReport) -> PeriodInfo | None:
     """
     rows = report.rows
     if len(rows) < 3 * report.family.period:
-        raise InsufficientDataError(
+        raise InvalidInputError(
             f"period detection needs at least {3 * report.family.period} rows, "
             f"got {len(rows)}")
     js = [r.j for r in rows]
@@ -195,23 +195,23 @@ def detect_period(report: FamilyScanReport) -> PeriodInfo | None:
 
 
 def is_complete_intersection(S: SemigroupSpec) -> bool:
-    """mu == 3 test for a 4-generated defining ideal (height is 3 there).
+    """Whether the defining ideal is a complete intersection: mu = n - 1
+    (:attr:`GradedBettiTable.ci`), for any number of generators n.
 
     mu comes from the minimal-generator construction and is cross-checked
     against the first Betti total of the homology route.
     """
-    if S.n != 4:
-        raise InvalidInputError(f"generators {S.generators}: the CI test expects 4 generators")
-    return _mu_checked(S) == 3
+    return _checked_table(S).ci
 
 
-def _mu_checked(S: SemigroupSpec):
+def _checked_table(S: SemigroupSpec):
+    """S's Betti table, its mu cross-checked against the minimal generators."""
     # the table's pass caches the patterns that minimal_generators reads
-    b1 = graded_betti(S).mu
+    table = graded_betti(S)
     _, mu = minimal_generators(S)
-    if mu != b1:
-        raise MonocurveError(f"mu={mu} disagrees with first Betti number {b1}")
-    return mu
+    if mu != table.mu:
+        raise MonocurveError(f"mu={mu} disagrees with first Betti number {table.mu}")
+    return table
 
 
 def _hs3_min_q(a, b):
@@ -250,11 +250,11 @@ def ci_check_3gen(q, a, b) -> bool:
 
 
 def hs3_agree(q, a, b):
-    """(criterion's CI answer, pipeline mu, whether they agree) for ⟨q, q+a, q+a+b⟩,
-    which is a complete intersection iff mu = 2."""
+    """(criterion's CI answer, the pipeline's Betti table, whether the two CI
+    verdicts agree) for ⟨q, q+a, q+a+b⟩."""
     lemma = ci_check_3gen(q, a, b)
-    mu = graded_betti(normalize((q, q + a, q + a + b))).mu
-    return lemma, mu, lemma == (mu == 2)
+    table = graded_betti(normalize((q, q + a, q + a + b)))
+    return lemma, table, lemma == table.ci
 
 
 def hs3_sweep(q_max, ab_max):
@@ -273,7 +273,7 @@ def hs3_sweep(q_max, ab_max):
         a, b = qa - q, qab - qa
         checked += 1
         lemma = ci_check_3gen(q, a, b)
-        if lemma != (table.mu == 2):
+        if lemma != table.ci:
             bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": table.mu})
     if not checked:
         raise InvalidInputError(f"no triple to check: no coprime a, b with a + b <= "
@@ -296,6 +296,22 @@ def _require_theorem_hypotheses(F: FamilySpec):
             "checked only for gcd(a,b,c) = 1")
 
 
+class TheoremReport(NamedTuple):
+    """The rows of a theorem check, each a :class:`TheoremARow` or a
+    :class:`TheoremBRow`; a counterexample is a row that does not agree."""
+
+    family: FamilySpec
+    rows: list[TheoremARow] | list[TheoremBRow]
+
+    @property
+    def counterexamples(self):
+        return [r for r in self.rows if not r.agrees]
+
+    @property
+    def passed(self):
+        return not self.counterexamples
+
+
 class TheoremBRow(NamedTuple):
     j: int
     generators: tuple[int, ...]
@@ -307,18 +323,6 @@ class TheoremBRow(NamedTuple):
         return self.ci == self.divisible
 
 
-class TheoremBReport(NamedTuple):
-    family: FamilySpec
-    j_min: int
-    j_max: int
-    rows: list[TheoremBRow]
-    counterexamples: list[TheoremBRow]
-
-    @property
-    def passed(self):
-        return not self.counterexamples
-
-
 def _tb_rows(F: FamilySpec, js) -> list[TheoremBRow]:
     # j leads; is_complete_intersection finds the batch's tables cached
     specs = (normalize(F.shifted(j)) for j in js)
@@ -327,7 +331,7 @@ def _tb_rows(F: FamilySpec, js) -> list[TheoremBRow]:
             for j, (S, _) in zip(js, _tabled(specs))]
 
 
-def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
+def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
     """Compare CI status against (a+b+c) | j across a range of true shifts.
 
     Here j is the leading generator itself. Requires the hypotheses of
@@ -343,9 +347,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremBReport:
     if j_min > j_max:
         raise InvalidInputError(f"need j_min <= j_max, got j_min={j_min}, j_max={j_max}")
     rows = _map_ordered(functools.partial(_tb_rows, F), range(j_min, j_max + 1), jobs)
-    bad = [r for r in rows if not r.agrees]
-    return TheoremBReport(family=F, j_min=j_min, j_max=j_max,
-                          rows=rows, counterexamples=bad)
+    return TheoremReport(family=F, rows=rows)
 
 
 class TheoremARow(NamedTuple):
@@ -363,17 +365,6 @@ class TheoremARow(NamedTuple):
         return self.mu == self.expected_mu and self.ideal_matches is not False
 
 
-class TheoremAReport(NamedTuple):
-    family: FamilySpec
-    n_max: int
-    rows: list[TheoremARow]
-    counterexamples: list[TheoremARow]
-
-    @property
-    def passed(self):
-        return not self.counterexamples
-
-
 def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
     """The explicit CI ideal at j = (a+b+c)n when c = p(a+b), gcd(a,b) = 1."""
     vectors = [
@@ -387,7 +378,7 @@ def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
     return [binomial_from_vector(v, S.generators) for v in vectors]
 
 
-def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
+def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
     """Spot-check the claimed mu values along the structured subfamilies.
 
     Case i: j = (a+b+c)n gives mu = 3; when c = p(a+b) with gcd(a,b) = 1 the
@@ -420,25 +411,19 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremAReport:
     rows: list[TheoremARow] = []
     specs = (normalize(F.shifted(j)) for j in js)
     for (case, n, t, _), j, (S, _) in zip(cases, js, _tabled(specs)):
-        mu = _mu_checked(S)
+        mu = _checked_table(S).mu
         ideal_ok = None
         if case == "i" and check_ideal:
             ideal_ok = generates(S, _case_i_ideal(S, n, F.p_c, a, b))
         rows.append(TheoremARow(case=case, n=n, t=t, j=j, generators=S.generators,
                                 mu=mu, expected_mu=3 if case == "i" else 4,
                                 ideal_matches=ideal_ok))
-
-    bad = [r for r in rows if not r.agrees]
-    return TheoremAReport(family=F, n_max=n_max, rows=rows, counterexamples=bad)
+    return TheoremReport(family=F, rows=rows)
 
 
-# example id -> (family triple, first row, last row); rows are labeled with
-# the offset-1 convention, under which the tables were published
-_EXAMPLES = {
-    1: ((2, 3, 5), 22, 51),
-    2: ((12, 3, 1), 65, 112),
-    3: ((3, 5, 2), 32, 61),
-}
+# example id -> family triple; its published rows, labeled with the offset-1
+# convention, are data/table<id>.csv
+_EXAMPLES = {1: (2, 3, 5), 2: (12, 3, 1), 3: (3, 5, 2)}
 
 
 class TableCheck(NamedTuple):
@@ -462,15 +447,14 @@ def load_expected_table(example: int) -> dict[int, tuple[int, ...]]:
 
 
 def reproduce_table(example: int, jobs: int = 1) -> TableCheck:
-    """Scan the documented range and diff against the embedded golden rows."""
+    """Scan the range of the embedded golden rows and diff against them."""
     example = as_integer(example, "example")
     if example not in _EXAMPLES:
         raise InvalidInputError(f"unknown example {example}: the examples are "
                                 + ", ".join(map(str, _EXAMPLES)))
-    abc, j_min, j_max = _EXAMPLES[example]
     expected = load_expected_table(example)
-    F = FamilySpec(*abc, offset=1)
-    computed = {r.j: r.totals for r in scan(F, j_min, j_max, jobs=jobs).rows}
+    F = FamilySpec(*_EXAMPLES[example], offset=1)
+    computed = {r.j: r.totals for r in scan(F, min(expected), max(expected), jobs=jobs).rows}
     mismatches = [(j, expected[j], computed[j])
                   for j in sorted(expected) if expected[j] != computed[j]]
     return TableCheck(example=example, family=F, expected=expected,

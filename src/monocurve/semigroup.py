@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidPivotError, OutOfRangeError
+from .errors import InvalidInputError, OutOfRangeError
 
 MAX_GENERATORS = 8
 
@@ -121,11 +121,12 @@ class MembershipTable:
     The generators may be any subset of a semigroup's generators, with any
     gcd d (``content``). With q the least of the generators divided by d
     (``modulus``) and ``ap`` = Ap(T/d, q), m is in T iff d divides m and
-    m/d >= ap[(m/d) mod q]. The empty set generates {0}. The Frobenius number
-    is read off ``ap`` once, when the table is built.
+    m/d >= ap[(m/d) mod q]. The empty set generates {0}. ``frobenius``, the
+    largest integer outside ⟨generators/d⟩ (-1 if there is none), is read off
+    ``ap`` once, when the table is built.
     """
 
-    __slots__ = ("content", "modulus", "ap", "_frobenius")
+    __slots__ = ("content", "modulus", "ap", "frobenius")
 
     def __init__(self, generators):
         generators = tuple(as_integer(a, "generator") for a in generators)
@@ -139,7 +140,7 @@ class MembershipTable:
         else:
             self.content, self.modulus = 0, 1
             self.ap = np.zeros(1, dtype=np.int64)
-        self._frobenius = int(self.ap.max()) - self.modulus
+        self.frobenius = int(self.ap.max()) - self.modulus
 
     def contains(self, m):
         if m == 0:
@@ -148,10 +149,6 @@ class MembershipTable:
             return False
         m //= self.content
         return m >= int(self.ap[m % self.modulus])
-
-    def frobenius(self):
-        """Largest integer outside ⟨generators/d⟩; -1 if there is none."""
-        return self._frobenius
 
     def least_cofactor(self, rem, a):
         """Least c >= 0 with rem - c*a in T, or None.
@@ -239,14 +236,14 @@ def contains(S: SemigroupSpec, m) -> bool:
 
 def frobenius(S: SemigroupSpec) -> int:
     """Largest integer not in S; -1 when S is all of the nonnegative integers."""
-    return S.membership.frobenius()
+    return S.membership.frobenius
 
 
 def apery(S: SemigroupSpec, x) -> set[int]:
     """The x least members of S in each residue class mod x (x in S, x > 0)."""
     x = as_integer(x, "x")
     if x <= 0 or not contains(S, x):
-        raise InvalidPivotError(f"{x} is not a positive member of the semigroup")
+        raise InvalidInputError(f"{x} is not a positive member of the semigroup")
     return set(apery_array(S.generators, x).tolist())
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from monocurve.binomials import (Binomial, binomial_from_vector,
                                  critical_exponent, full_critical_set,
                                  generates, kernel_member, minimal_generators)
-from monocurve.errors import DegenerateInputError, InvalidInputError
+from monocurve.errors import InvalidInputError
 from monocurve.semigroup import Factorization, normalize
 
 from oracles import (brute_factorizations, brute_generator_degrees, brute_mu,
@@ -53,7 +53,7 @@ def test_binomial_from_vector():
     assert g.minus.exponents == (0, 1, 0, 0)
     assert str(g) == "x1 - x2"
 
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(InvalidInputError):
         binomial_from_vector((0, 0, 0, 0), gens)
 
 

@@ -5,16 +5,20 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monocurve import betti, family
+from monocurve.betti import graded_betti
 from monocurve.binomials import (binomial_from_vector, generates,
                                  kernel_member, minimal_generators)
-from monocurve.errors import (HypothesisNotMetError, InsufficientDataError,
-                              InvalidInputError, OutOfRangeError)
+from monocurve.errors import (HypothesisNotMetError, InvalidInputError,
+                              OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
-                              ci_check_3gen, detect_period, hs3_sweep,
-                              is_complete_intersection, reproduce_table, scan,
-                              verify_theorem_a, verify_theorem_b, worker_count)
+                              TheoremReport, ci_check_3gen, detect_period,
+                              hs3_sweep, is_complete_intersection,
+                              reproduce_table, scan, verify_theorem_a,
+                              verify_theorem_b, worker_count)
 from monocurve.semigroup import MembershipTable, contains, normalize
 
 from oracles import (brute_mu, ideal_equivalent, shift_sequence,
@@ -68,8 +72,22 @@ def test_is_complete_intersection():
     assert is_complete_intersection(normalize((30, 32, 35, 40)))
     assert not is_complete_intersection(normalize((23, 25, 28, 33)))
     assert is_complete_intersection(normalize((1, 2, 3, 4)))
-    with pytest.raises(InvalidInputError):
-        is_complete_intersection(normalize((2, 3)))
+    assert is_complete_intersection(normalize((2, 3)))  # mu = 1 = n - 1
+
+
+@given(st.sets(st.integers(min_value=2, max_value=24), min_size=2, max_size=5))
+@example({2, 3})
+@example({8, 12, 18})
+@example({3, 4, 5})
+@example({30, 32, 35, 40})
+@settings(max_examples=40, deadline=None)
+def test_complete_intersection_is_mu_of_height_n_minus_1(raw):
+    # the defining ideal of a monomial curve in A^n has height n - 1, and it
+    # is a complete intersection iff it needs no more generators than that
+    S = normalize(tuple(raw))
+    ci = brute_mu(S.generators) == S.n - 1
+    assert is_complete_intersection(S) == ci
+    assert graded_betti(S).ci == ci
 
 
 def test_ci_check_3gen_examples():
@@ -237,7 +255,7 @@ def test_detect_period_constant_rows():
 def test_detect_period_window_too_small():
     F = FamilySpec(2, 3, 5)
     report = scan(F, 22, 40)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InvalidInputError):
         detect_period(report)
 
 
@@ -276,6 +294,20 @@ def test_verify_theorem_a_ci_family():
     assert r.j == 30 and r.mu == 3 and r.ideal_matches is True
     r = cases[("ii", 3, 1)]
     assert r.j == 35 and r.mu == 4
+
+
+def test_theorem_reports_share_one_type():
+    a = verify_theorem_a(FamilySpec(12, 3, 1), n_max=2)
+    b = verify_theorem_b(FamilySpec(2, 3, 5), 1000, 1012)
+    assert type(a) is type(b) is TheoremReport
+    for report in (a, b):
+        assert report.counterexamples == [r for r in report.rows if not r.agrees]
+        assert report.passed == (not report.counterexamples)
+    assert a.counterexamples and not a.passed
+    # a theorem-B row that disagrees is a counterexample as well
+    flipped = b._replace(rows=[r._replace(ci=not r.ci) if r.j == 1000 else r
+                               for r in b.rows])
+    assert flipped.counterexamples == flipped.rows[:1] and not flipped.passed
 
 
 def test_verify_theorem_a_counterexamples_reported_verbatim():
@@ -395,7 +427,6 @@ _REFUSALS = {
     "theorem-a": (lambda: verify_theorem_a(FamilySpec(2, 3, 5), 0), "at least 1, got 0"),
     "hs3-sign": (lambda: ci_check_3gen(0, 3, 6), "q=0, a=3, b=6"),
     "hs3-gcd": (lambda: ci_check_3gen(60, 3, 6), "q=60, a=3, b=6"),
-    "ci-test": (lambda: is_complete_intersection(normalize((3, 5, 7))), "generators (3, 5, 7)"),
     "membership-table": (lambda: MembershipTable((3, 0, 5)), "generators (3, 0, 5)"),
     "contains": (lambda: contains(normalize((3, 5)), -4), "m=-4"),
     "kernel-member": (lambda: kernel_member(normalize((3, 5, 7)), (5, -3)),
