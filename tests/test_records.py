@@ -25,7 +25,9 @@ PACKAGE = Path(monocurve.__file__).resolve().parent
 
 
 def _samples():
-    """One computed instance of every record type, keyed by type."""
+    """One computed instance of every record type, keyed by test id: the type's
+    name, except that the two reports a ``TheoremReport`` holds (Theorem A's
+    and Theorem B's) are each a sample of their own."""
     S = normalize((30, 32, 35, 40))
     gens, _ = minimal_generators(S)
     report = scan(FamilySpec(2, 3, 5), 22, 81)
@@ -35,10 +37,12 @@ def _samples():
                report.family, report.rows[0], report.period, report,
                theorem_a.rows[0], theorem_a, theorem_b.rows[0], theorem_b,
                reproduce_table(1)]
-    return {type(r): r for r in records}
+    ids = {id(theorem_a): "TheoremAReport", id(theorem_b): "TheoremBReport"}
+    return {ids.get(id(r), type(r).__name__): r for r in records}
 
 
 SAMPLES = _samples()
+SAMPLE_TYPES = {type(r): r for r in SAMPLES.values()}
 
 
 def _record_types(namespace):
@@ -47,11 +51,11 @@ def _record_types(namespace):
 
 
 def test_every_record_type_has_a_sample():
-    assert _record_types(monocurve) | {TheoremARow, TheoremBRow} == set(SAMPLES)
-    assert _record_types(family) - {family._Family} <= set(SAMPLES)
+    assert _record_types(monocurve) | {TheoremARow, TheoremBRow} == set(SAMPLE_TYPES)
+    assert _record_types(family) - {family._Family} <= set(SAMPLE_TYPES)
 
 
-@pytest.mark.parametrize("record", SAMPLES.values(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", SAMPLES.values(), ids=list(SAMPLES))
 def test_record_is_immutable(record):
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
@@ -59,7 +63,7 @@ def test_record_is_immutable(record):
         record.not_a_field = 1
 
 
-@pytest.mark.parametrize("record", SAMPLES.values(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", SAMPLES.values(), ids=list(SAMPLES))
 def test_record_pickles_to_an_equal_record(record):
     again = pickle.loads(pickle.dumps(record))
     assert type(again) is type(record) and again == record
@@ -95,7 +99,7 @@ def test_family_spec_flags_follow_the_triple():
 
 
 def test_scan_report_carries_its_period():
-    report = SAMPLES[family.FamilyScanReport]
+    report = SAMPLE_TYPES[family.FamilyScanReport]
     assert report.period == family.detect_period(report)
     assert report.period._asdict() == {"j0": 27, "length": 10, "window": (27, 81)}
     assert scan(FamilySpec(2, 3, 5), 22, 51).period is None
@@ -106,7 +110,7 @@ def test_scan_report_carries_its_period():
 def test_theorem_row_fields_keep_the_json_key_order(row_type, schema_def):
     schema = json.loads(files("monocurve").joinpath("data", "output_schema.json").read_text())
     keys = schema["$defs"][schema_def]["required"]
-    assert [*SAMPLES[row_type]._asdict(), "ok"] == keys
+    assert [*SAMPLE_TYPES[row_type]._asdict(), "ok"] == keys
     command = (["verify", "theorem-a", "--abc", "12,3,1", "--n-max", "2"]
                if row_type is TheoremARow else
                ["verify", "theorem-b", "--abc", "2,3,5", "--from", "1000", "--to", "1001"])
