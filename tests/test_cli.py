@@ -194,6 +194,72 @@ def test_bound_override_zero_is_legal():
     assert run_cli(["gens", "--gens", "3,5", "--bound-override", "0"])[:2] == (0, "mu = 0\n")
 
 
+# Runs ``how`` in a fresh interpreter with ``sys.argv[1:]`` as the command's
+# arguments, then prints at exit whether numpy is loaded and whether
+# monocurve.betti has executed.
+_ENGINE_AT_EXIT = """
+import atexit, json, runpy, sys
+def report():
+    betti = sys.modules.get("monocurve.betti")
+    executed = betti is not None and "graded_betti" in object.__getattribute__(betti, "__dict__")
+    print(json.dumps(["numpy" in sys.modules, executed]))
+atexit.register(report)
+sys.argv[0] = "monocurve"
+{how}
+"""
+
+_ENGINE_FREE = {
+    "python -m": "runpy.run_module('monocurve.cli', run_name='__main__', alter_sys=True)",
+    "console script": "from monocurve.cli import main\nmain()",
+}
+
+
+@pytest.mark.parametrize("path", sorted(_ENGINE_FREE))
+@pytest.mark.parametrize("argv", ["--help", "scan --help", "verify theorem-b --help",
+                                  "betti", "nonsense"])
+def test_help_and_usage_errors_load_no_numpy(path, argv):
+    script = _ENGINE_AT_EXIT.format(how=_ENGINE_FREE[path])
+    done = subprocess.run([sys.executable, "-c", script, *argv.split()], env=_src_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == (0 if "--help" in argv else 1), done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False]
+
+
+def test_bare_package_import_loads_no_numpy():
+    done = subprocess.run([sys.executable, "-c", _ENGINE_AT_EXIT.format(how="import monocurve")],
+                          env=_src_env(), capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [False, False]
+
+
+def test_package_exports_load_on_first_use():
+    import monocurve
+    assert monocurve.scan is family.scan
+    namespace = {}
+    exec("from monocurve import graded_betti\nfrom monocurve import *", namespace)
+    assert namespace["graded_betti"] is importlib.import_module("monocurve.betti").graded_betti
+    assert all(namespace[name] is getattr(monocurve, name) for name in monocurve.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        monocurve.no_such_name
+
+
+def test_cli_reuses_a_layer_module_imported_before_it():
+    # one module object per layer, so a patch on it reaches the CLI's handlers
+    script = ("import io, sys\n"
+              "import monocurve.betti as betti\n"
+              "from monocurve import cli\n"
+              "layers = ('semigroup', 'betti', 'binomials', 'family')\n"
+              "assert all(getattr(cli, n) is sys.modules['monocurve.' + n] for n in layers)\n"
+              "assert sys.modules['monocurve.betti'] is betti\n"
+              "calls = []\n"
+              "original = betti.graded_betti\n"
+              "betti.graded_betti = lambda S, bound=None: calls.append(S) or original(S, bound)\n"
+              "code = cli.run(['betti', '--gens', '30,32,35,40'], io.StringIO(), io.StringIO())\n"
+              "print(code, len(calls))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["0", "1"]
+
+
 def test_cli_import_adds_no_dataclasses_module():
     # numpy first, so that only what monocurve itself brings in is counted
     script = ("import json, sys, numpy\n"
@@ -469,15 +535,49 @@ def test_json_payload_matches_its_command_schema(command, monkeypatch):
     assert importlib.import_module("checks").validate(doc, schema, schema) == []
 
 
-def test_main_freezes_the_import_heap_before_run(monkeypatch):
-    for code in (0, 1, 2):
-        calls = []
-        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-        monkeypatch.setattr(cli, "run", lambda code=code: calls.append("run") or code)
-        with pytest.raises(SystemExit) as exit_info:
-            cli.main()
-        assert calls == ["freeze", "run"]
-        assert exit_info.value.code == code
+# Runs cli.main() on the given arguments in a fresh interpreter and prints,
+# as its last line, each step main() took with whether numpy was loaded at
+# that step, and the exit code.
+_MAIN_STEPS = """
+import gc, json, sys
+from monocurve import cli
+steps = []
+build_parser, execute = cli.build_parser, cli.execute
+
+def recording_parser():
+    parser = build_parser()
+    parse_args = parser.parse_args
+    def parse(*args):
+        parsed = parse_args(*args)
+        steps.append(["parse", "numpy" in sys.modules])
+        return parsed
+    parser.parse_args = parse
+    return parser
+
+def recording_execute(*args):
+    steps.append(["execute", "numpy" in sys.modules])
+    return execute(*args)
+
+cli.build_parser, cli.execute = recording_parser, recording_execute
+gc.freeze = lambda: steps.append(["freeze", "numpy" in sys.modules])
+sys.argv[0] = "monocurve"
+try:
+    cli.main()
+except SystemExit as e:
+    print(json.dumps([steps, e.code]))
+"""
+
+
+def test_main_freezes_the_import_heap_before_run():
+    # parse, then the engine (numpy) loads, then the freeze, then the command
+    for argv, code in (("betti --gens 30,32,35,40", 0),
+                       ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
+                       ("verify theorem-a --abc 12,3,1 --n-max 3", 2)):
+        done = subprocess.run([sys.executable, "-c", _MAIN_STEPS, *argv.split()],
+                              env=_src_env(), capture_output=True, text=True, check=True)
+        steps, exit_code = json.loads(done.stdout.splitlines()[-1])
+        assert steps == [["parse", False], ["freeze", True], ["execute", True]], argv
+        assert exit_code == code, argv
 
 
 def test_run_freezes_nothing():

@@ -45,14 +45,15 @@ SAMPLES = _samples()
 SAMPLE_TYPES = {type(r): r for r in SAMPLES.values()}
 
 
-def _record_types(namespace):
-    return {v for v in vars(namespace).values()
+def _record_types(values):
+    return {v for v in values
             if isinstance(v, type) and issubclass(v, tuple) and hasattr(v, "_fields")}
 
 
 def test_every_record_type_has_a_sample():
-    assert _record_types(monocurve) | {TheoremARow, TheoremBRow} == set(SAMPLE_TYPES)
-    assert _record_types(family) - {family._Family} <= set(SAMPLE_TYPES)
+    exported = [getattr(monocurve, name) for name in monocurve.__all__]
+    assert _record_types(exported) | {TheoremARow, TheoremBRow} == set(SAMPLE_TYPES)
+    assert _record_types(vars(family).values()) - {family._Family} <= set(SAMPLE_TYPES)
 
 
 @pytest.mark.parametrize("record", SAMPLES.values(), ids=list(SAMPLES))
