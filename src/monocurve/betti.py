@@ -36,10 +36,13 @@ as face-set integers; homology ranks are memoized per face-set integer.
 Many small semigroups with the same n (a scan, a theorem check, the hs3
 sweep) are evaluated as one batch per run of :func:`batches`, so numpy's
 per-call cost is paid per batch rather than per semigroup. Their Apéry
-tables are concatenated with an offset each; the candidates carry their
-semigroup's index in the int64 sort key index * span + degree; membership
-is tested a block of rows at a time over the whole batch; the face words
-are deduplicated once for the batch and each distinct complex is ranked and
+tables are built together as one array with an offset each
+(:func:`~monocurve.semigroup.apery_run`), and each member's membership
+table views its part; the candidates carry their semigroup's index in the
+int64 sort key index * span + degree; membership is tested a block of rows
+at a time over the whole batch, each row's face bits padded to whole bytes
+so that one flat ``np.packbits`` packs the block; the face words are
+deduplicated once for the batch and each distinct complex is ranked and
 cross-checked once. Each semigroup caches its table and, as its patterns,
 views of the batch's degree and complex-index arrays with the batch's faces;
 the per-table checks run on every table. A batch of one is the same code.
@@ -53,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, MonocurveError
-from .semigroup import SemigroupSpec, as_integer, check_size, frobenius
+from .semigroup import SemigroupSpec, apery_run, as_integer, check_size, frobenius
 
 # candidate cells (a1 * 2**(n-1), summed over the semigroups) of one pass
 _CHUNK_CELLS = 1 << 14
@@ -226,22 +229,27 @@ def batches(specs):
     number of generators, and its candidate cells must stay within
     ``MAX_CELLS``. A run closes before its candidate cells would pass
     ``_CHUNK_CELLS`` (a larger semigroup runs alone), which keeps the arrays
-    of a pass small, and before its sort keys could reach 2**62: a
-    semigroup's candidates lie below a1 * 2**(n-1) * an (an Apéry element is
-    a sum of at most a1 - 1 generators), and a key is index * span + degree.
+    of a pass small; before its sort keys could reach 2**62: a semigroup's
+    candidates lie below a1 * 2**(n-1) * an (an Apéry element is a sum of at
+    most a1 - 1 generators), and a key is index * span + degree; and before
+    its Apéry cells (the sum of its a1) times its largest generator could
+    reach 2**61, the bound that :func:`~monocurve.semigroup.check_size` puts
+    on the run's one Apéry build.
     """
-    run, cells, reach = [], 0, 0
+    run, cells, reach, top = [], 0, 0, 0
     for S in specs:
         if run and S.n != run[0].n:
             raise InvalidInputError("a batch needs semigroups with the same number of generators")
         c = _candidate_cells(S)
-        r = max(reach, c * S.generators[-1])
-        if run and (cells + c > _CHUNK_CELLS or (len(run) + 1) * r >= 1 << 62):
+        an = S.generators[-1]
+        r, t = max(reach, c * an), max(top, an)
+        if run and (cells + c > _CHUNK_CELLS or (len(run) + 1) * r >= 1 << 62
+                    or ((cells + c) >> (S.n - 1)) * t >= 1 << 61):
             yield run
-            run, cells, r = [], 0, c * S.generators[-1]
+            run, cells, r, t = [], 0, c * an, an
         run.append(S)
         cells += c
-        reach = r
+        reach, top = r, t
     if run:
         yield run
 
@@ -272,17 +280,19 @@ def _pattern_pass(specs):
     ordered by (semigroup index ``owner``, degree), the batch's distinct
     face-set integers, ascending, and the index into ``faces`` of each
     degree's complex; for n <= 6 a complex is one word, ranked by one sort.
-    Each semigroup's "patterns" entry is its views ``degrees[lo:hi]`` and
-    ``inverse[lo:hi]`` with the batch's ``faces``; :func:`degree_patterns`
-    compacts it.
+    The batch's Apéry tables come from one build for the run, which gives
+    each member without one its membership table (ap view, modulus,
+    Frobenius number). A degree's face bits fill a row of max(2**n, 8)
+    bools, faces past 2**n staying 0, so a block of rows packs with one
+    flat ``np.packbits`` into whole bytes per row. Each semigroup's
+    "patterns" entry is its views ``degrees[lo:hi]`` and ``inverse[lo:hi]``
+    with the batch's ``faces``; :func:`degree_patterns` compacts it.
     """
     n = specs[0].n
     nfaces = 1 << n
-    tables = [S.membership for S in specs]
-    sums = np.array([S.generators for S in specs], dtype=np.int64) @ _face_bits(n).T
-    moduli = np.array([t.modulus for t in tables], dtype=np.int64)
-    base = np.cumsum(moduli) - moduli
-    ap = np.concatenate([t.ap for t in tables])
+    generators, ap, base = apery_run(specs)
+    sums = generators @ _face_bits(n).T
+    moduli = generators[:, 0]
     # candidate keys index * span + degree, built in place; even face masks
     # are the subsets of {2..n}
     keys = np.repeat(sums[:, 0::2], moduli, axis=0)
@@ -300,15 +310,18 @@ def _pattern_pass(specs):
     nwords = (nfaces + 63) // 64
     packed = np.zeros((len(degrees), 8 * nwords), dtype=np.uint8)
     step = max(1, _BLOCK_CELLS >> n)
-    member = np.empty((step, nfaces), dtype=bool)
+    # whole bytes per row, the bits past face 2**n staying 0
+    width = max(nfaces, 8)
+    member = np.zeros((step, width), dtype=bool)
     for lo in range(0, len(degrees), step):
         rows = owner[lo:lo + step]
         x = degrees[lo:lo + step, None] - sums[rows, 0::2]
         least = ap[base[rows, None] + x % moduli[rows, None]]
         part = member[:len(rows)]
-        np.greater_equal(x, least, out=part[:, 0::2])
-        np.greater_equal(x, least + moduli[rows, None], out=part[:, 1::2])
-        packed[lo:lo + step, :-(-nfaces // 8)] = np.packbits(part, axis=1, bitorder="little")
+        np.greater_equal(x, least, out=part[:, 0:nfaces:2])
+        np.greater_equal(x, least + moduli[rows, None], out=part[:, 1:nfaces:2])
+        packed[lo:lo + step, :width // 8] = np.packbits(
+            part.ravel(), bitorder="little").reshape(len(rows), width // 8)
     # rank the first word, then fold each later word's rank in above the
     # ranks so far (pair keys stay below len(degrees)**2); ``words``, the
     # distinct rows so far, and ``inverse`` stay ordered as face-set integers

@@ -16,6 +16,11 @@ shortest-path problem over the residues mod q (Nijenhuis, Amer. Math. Monthly
 generators, never with the Frobenius number. Sub-semigroups (any subset of
 the generators, any gcd) use the same representation after their gcd is
 divided out.
+
+There is one Apéry build, :func:`_apery`, and it takes many semigroups at
+once: the Betti pass builds a whole run's tables as one array
+(:func:`apery_run`), and every single table (:func:`apery_array`, hence
+:class:`MembershipTable` and :func:`apery`) is the batch of one.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ MAX_CELLS = 1 << 22
 # Apéry entry of a residue class holding no member (generators not coprime to
 # the modulus); above every reachable entry, which check_size keeps below 2**61.
 UNREACHABLE = 1 << 62
+# Entry of the spare cell that padded rows of an Apéry build read: minus any
+# t*b below 2**61 it stays above UNREACHABLE, so no real entry can undercut it.
+_PAD = 3 << 61
 
 
 class Factorization(NamedTuple):
@@ -89,30 +97,114 @@ def check_size(generators, cells, what):
             f"generators {tuple(generators)}: {what} would exceed 64-bit integers")
 
 
-def apery_array(generators, q):
-    """Ap(⟨generators⟩, q) as an int64 array indexed by residue mod q.
+def _apery(generators, moduli):
+    """(ap, base): Ap(⟨generators[i]⟩, moduli[i]) for each row i of a (k, n)
+    int64 matrix, as one int64 array holding row i's table at
+    ap[base[i]:base[i] + moduli[i]].
 
-    Entry r is the least member congruent to r mod q, or UNREACHABLE when the
-    class holds none. Round-robin: generator b is folded in along the cycles
-    r -> r+b mod q of the residues. Started at its least entry, one pass of
-    N[k] = min(N[k], N[k-1] + b) settles a cycle, and that pass is a prefix
-    minimum of N[k] - k*b, so every cycle is settled at once in numpy.
+    Entry r of a table is the least member congruent to r mod its modulus q,
+    or UNREACHABLE when the class holds none. Round-robin (Böcker and
+    Lipták): the generators are folded in one column at a time, each b along
+    the cycles r -> r+b mod q of the residues. With d = gcd(q, b), residue
+    c < d starts a cycle of length L = q/d whose t-th residue is
+    c + (t*b mod q), and the cycle settles to the least N[u] + (t-u)*b,
+    going round it at most once: with w = N - t*b, that is the prefix
+    minimum of w started at min(w[0], min(w) + L*b), plus t*b. So a column
+    settles every cycle of the run at once, one matrix row per cycle, as
+    wide as the longest (:func:`_bands`). A row of a shorter cycle is
+    padded with the spare last cell, set to ``_PAD``; the run's check_size
+    keeps t*b below 2**61, so every entry stays below 2**63 and no pad
+    undercuts a real one.
     """
-    check_size(generators, q, f"the Apéry set mod {q}")
-    ap = np.full(q, UNREACHABLE, dtype=np.int64)
-    ap[0] = 0
-    for b in generators:
-        d = math.gcd(q, b)
-        length = q // d
-        if length == 1:
+    base = np.add.accumulate(moduli) - moduli
+    total = int(base[-1]) + int(moduli[-1])
+    ap = np.full(total + 1, UNREACHABLE, dtype=np.int64)
+    ap[base] = 0
+    cycles = np.gcd(moduli[:, None], generators)
+    lengths = moduli[:, None] // cycles
+    wraps = lengths * generators
+    columns = zip(np.maximum.reduce(lengths).tolist(), np.add.reduce(cycles).tolist())
+    for j, (width, count) in enumerate(columns):
+        if width == 1:
             continue
-        steps = np.arange(length, dtype=np.int64)
-        kb = steps * b
-        cycles = (np.arange(d, dtype=np.int64)[:, None] + kb) % q
-        starts = cycles[np.arange(d), np.argmin(ap[cycles], axis=1)]
-        cycles = (starts[:, None] + kb) % q
-        ap[cycles] = np.minimum.accumulate(ap[cycles] - kb, axis=1) + kb
-    return ap
+        for members, width, padded in _bands(lengths[:, j], cycles[:, j], width, count, total):
+            if count == len(moduli):
+                row, start = members, base[members]
+            else:
+                d = cycles[members, j]
+                row = np.repeat(np.arange(len(moduli))[members], d)
+                start = np.repeat(base[members] - np.add.accumulate(d) + d, d) + np.arange(len(row))
+            steps = np.arange(width)
+            kb = generators[row, j, None] * steps
+            pos = kb % moduli[row, None]
+            pos += start[:, None]
+            if padded:
+                pos[steps >= lengths[row, j, None]] = total
+                ap[total] = _PAD
+            w = ap[pos]
+            w -= kb
+            # the wrap term joins the prefix minimum through its first cell
+            np.minimum(w[:, 0], np.minimum.reduce(w, axis=1) + wraps[row, j], out=w[:, 0])
+            np.minimum.accumulate(w, axis=1, out=w)
+            w += kb
+            ap[pos] = w
+    return ap[:total], base
+
+
+def _bands(lengths, cycles, width, count, total):
+    """(members, width, padded) groups of one column of :func:`_apery`: the
+    members whose cycles share a matrix as wide as the longest of them, and
+    whether one is shorter. The column's ``count`` cycles, the longest of
+    ``width`` residues, hold ``total`` residues; they make one group when
+    padding at most doubles that. Otherwise each group holds the cycles
+    longer than half its width, taken longest first, and cycles of length 1,
+    settled already, are left out."""
+    if width * count <= 2 * total:
+        return [(slice(None), width, width * count > total)]
+    order = np.argsort(-lengths, kind="stable")
+    descending = lengths[order]
+    groups, lo = [], 0
+    while lo < len(order) and descending[lo] > 1:
+        width = int(descending[lo])
+        hi = lo + int(np.searchsorted(-descending[lo:], -(width // 2)))
+        groups.append((order[lo:hi], width, bool(descending[hi - 1] < width)))
+        lo = hi
+    return groups
+
+
+def apery_array(generators, q):
+    """Ap(⟨generators⟩, q) as an int64 array indexed by residue mod q: the
+    batch of one of :func:`_apery`."""
+    check_size(generators, q, f"the Apéry set mod {q}")
+    return _apery(np.array([generators], dtype=np.int64), np.array([q], dtype=np.int64))[0]
+
+
+def apery_run(specs):
+    """(generators, ap, base) for semigroups with the same n: their (k, n)
+    int64 generator matrix, and Ap(S, a1) of each, the i-th at
+    ap[base[i]:base[i] + a1], built as one array by :func:`_apery`.
+
+    A run whose members all have a membership table concatenates theirs;
+    otherwise the run is built, after :func:`check_size` on its cells and its
+    largest generator, and each member without a table gets one that views
+    its part of the array, with its Frobenius number read by one
+    ``np.maximum.reduceat``.
+    """
+    generators = np.array([S.generators for S in specs], dtype=np.int64)
+    moduli = generators[:, 0]
+    key = ("sub", tuple(range(generators.shape[1])))
+    tables = [S._cache.get(key) for S in specs]
+    if None not in tables:
+        ap = np.concatenate([t.ap for t in tables])
+        return generators, ap, np.add.accumulate(moduli) - moduli
+    widest = generators[np.argmax(generators[:, -1])].tolist()
+    check_size(widest, int(moduli.sum()), "the Apéry sets of its run")
+    ap, base = _apery(generators, moduli)
+    frobenius = (np.maximum.reduceat(ap, base) - moduli).tolist()
+    for S, table, lo, q, f in zip(specs, tables, base.tolist(), moduli.tolist(), frobenius):
+        if table is None:
+            S._cache[key] = MembershipTable._of(1, q, ap[lo:lo + q], f)
+    return generators, ap, base
 
 
 class MembershipTable:
@@ -136,11 +228,20 @@ class MembershipTable:
             self.content = math.gcd(*generators)
             reduced = [a // self.content for a in generators]
             self.modulus = min(reduced)
-            self.ap = apery_array(reduced, self.modulus)
         else:
-            self.content, self.modulus = 0, 1
-            self.ap = np.zeros(1, dtype=np.int64)
+            self.content, self.modulus, reduced = 0, 1, ()
+        # modulo 1, the one class holds 0
+        self.ap = (apery_array(reduced, self.modulus) if self.modulus > 1
+                   else np.zeros(1, dtype=np.int64))
         self.frobenius = int(self.ap.max()) - self.modulus
+
+    @classmethod
+    def _of(cls, content, modulus, ap, frobenius):
+        """A table of coprime generators whose ``ap`` and ``frobenius`` are
+        already known (:func:`apery_run`)."""
+        table = object.__new__(cls)
+        table.content, table.modulus, table.ap, table.frobenius = content, modulus, ap, frobenius
+        return table
 
     def contains(self, m):
         if m == 0:

@@ -330,6 +330,10 @@ def _small_batches(draw):
 
 
 @given(_small_batches())
+# n = 2 and 3 pack a complex into one byte, past its faces for n = 2
+@example([[2, 3]])
+@example([[5, 7], [4, 9], [6, 14], [3, 10]])
+@example([[3, 5, 7], [4, 6, 9], [6, 10, 14], [2, 7, 12]])
 @example([[8, 9, 10, 11, 12, 13, 14]])
 @example([[3, 5, 7, 8, 9, 10, 11, 13], [9, 10, 11, 12, 13, 14, 6, 7]])
 @settings(max_examples=40, deadline=None)
@@ -408,7 +412,7 @@ def test_candidate_cap_refuses_before_allocating(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("built an Apery table for refused work")
 
-    monkeypatch.setattr(semigroup, "apery_array", boom)
+    monkeypatch.setattr(semigroup, "_apery", boom)
     a = MAX_CELLS // 8 + 1  # a1 * 2**(n-1) is just above the cap for n = 4
     S = normalize((a, a + 1, a + 3, a + 7))
     with pytest.raises(OutOfRangeError, match=f"{a}, {a + 1}") as err:
@@ -437,6 +441,23 @@ def test_batches_keep_sort_keys_below_2_62():
     for S, single in zip(specs, alone):
         assert _patterns(S, bound) == _patterns(single, bound)
         assert _patterns(S, bound)[0] == [0, S.generators[1]]
+
+
+def test_batches_keep_the_run_apery_build_below_2_61():
+    # a run's one Apéry build keeps its a1s times its largest generator below
+    # 2**61 (check_size): ⟨1021, 1022⟩ and ⟨3, an⟩ hold 1,024 Apéry cells, so
+    # the edge is an = 2**51, well inside the sort keys' bound
+    an = (1 << 51) - 1
+    below = [normalize((1021, 1022)), normalize((3, an))]
+    above = [normalize((1021, 1022)), normalize((3, an + 1))]
+    assert [len(run) for run in batches(below)] == [2]
+    assert [len(run) for run in batches(above)] == [1, 1]
+    _, ap, base = semigroup.apery_run(below)
+    assert ap[base[1]:].tolist() == [0, an, 2 * an]
+    assert betti_tables(below) == [graded_betti(normalize(S.generators)) for S in below]
+    assert betti_tables(above) == [graded_betti(normalize(S.generators)) for S in above]
+    with pytest.raises(OutOfRangeError, match=rf"^generators \(3, {an + 1}\): .* 64-bit"):
+        semigroup.apery_run([normalize(S.generators) for S in above])
 
 
 def test_batch_refuses_mixed_generator_counts():

@@ -261,10 +261,13 @@ def test_cli_reuses_a_layer_module_imported_before_it():
 
 
 def test_cli_import_adds_no_dataclasses_module():
-    # numpy first, so that only what monocurve itself brings in is counted
+    # numpy first, so that only what monocurve itself brings in is counted;
+    # importing the CLI executes no engine module, so one attribute read of
+    # the lazy family module executes the engine, as main() does
     script = ("import json, sys, numpy\n"
               "before = set(sys.modules)\n"
               "import monocurve.cli\n"
+              "monocurve.cli.family.FamilySpec\n"
               "print(json.dumps(sorted(set(sys.modules) - before)))\n")
     done = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, check=True)
@@ -401,9 +404,14 @@ def test_tracer_bindings_exist():
 
 
 def test_table_example_choices_follow_the_examples(monkeypatch):
-    assert run_cli(["table", "--example", "4"])[:2] == (1, "")
+    # the parser takes any integer; reproduce_table's refusal, the only one,
+    # names every key of family._EXAMPLES, so a patched-in example shows up
+    assert "  --example EXAMPLE\n" in run_cli(["table", "--help"])[1]
+    assert run_cli(["table", "--example", "5"]) == (
+        1, "", "monocurve: error: unknown example 5: the examples are 1, 2, 3\n")
     monkeypatch.setitem(family._EXAMPLES, 4, (2, 3, 5))
-    assert cli.build_parser().parse_args(["table", "--example", "4"]).example == 4
+    assert run_cli(["table", "--example", "5"]) == (
+        1, "", "monocurve: error: unknown example 5: the examples are 1, 2, 3, 4\n")
 
 
 def test_theorem_b_rows_call_is_complete_intersection_through_family(monkeypatch):
@@ -484,6 +492,12 @@ GOLDEN_RENDERS = {
         "csv": (0, "d5dcbee8d18898b1bd6b153dd3942d315720d53a179bbe76596fcff71bfaaf47"),
         "json": (0, "2f0b6b095472173e2592d712657480f40863bb588a5a9b0f6419160a7e7f2bcf"),
     },
+    # 1,016 triples in 13 runs of mixed moduli
+    "verify hs3 --q-max 81 --ab-max 7": {
+        "pretty": (0, "e1c61f2cba9cfcf5c6311f619a3afaa04b1166a5fc5399a053341e570f3bf7c0"),
+        "csv": (0, "d5dcbee8d18898b1bd6b153dd3942d315720d53a179bbe76596fcff71bfaaf47"),
+        "json": (0, "cf8922699f921122389a9f88ebebd0474f712f91b0949efa030484e019817706"),
+    },
     "table --example 1": {
         "pretty": (0, "835535e4956301ff7e8ce8229b6732f613baa69c312d70b5305c5499348c0ff2"),
         "csv": (0, "54eab8da4b494e04fac446071a5733d014ba63f941ec2a402998e1312dabf84a"),
@@ -510,6 +524,7 @@ PAYLOAD_DEFS = {
     "verify theorem-b --abc 2,3,5 --from 1000 --to 1005": "payload_verify_theorem_b",
     "verify hs3 --q 12 --a 1 --b 2": "payload_verify_hs3_single",
     "verify hs3 --q-max 30 --ab-max 5": "payload_verify_hs3_sweep",
+    "verify hs3 --q-max 81 --ab-max 7": "payload_verify_hs3_sweep",
     "table --example 1": "payload_table",
 }
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monocurve import betti, family
+from monocurve import betti, family, semigroup
 from monocurve.betti import graded_betti
 from monocurve.binomials import (binomial_from_vector, generates,
                                  kernel_member, minimal_generators)
@@ -19,7 +19,7 @@ from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               hs3_sweep, is_complete_intersection,
                               reproduce_table, scan, verify_theorem_a,
                               verify_theorem_b, worker_count)
-from monocurve.semigroup import MembershipTable, contains, normalize
+from monocurve.semigroup import MembershipTable, contains, frobenius, normalize
 
 from oracles import (brute_mu, ideal_equivalent, shift_sequence,
                      shifted_kernel_member)
@@ -397,6 +397,25 @@ def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
             tracemalloc.stop()
         assert first.value.args[0] > 1
     assert peaks[1] < peaks[0] + 200_000, peaks
+
+
+def test_hs3_sweep_builds_one_apery_array_per_run(monkeypatch):
+    builds = []
+    original = semigroup._apery
+
+    def counted(generators, moduli):
+        builds.append(len(moduli))
+        return original(generators, moduli)
+
+    monkeypatch.setattr(semigroup, "_apery", counted)
+    assert hs3_sweep(81, 7)[0] == sum(builds) == 1016
+    assert len(builds) == 13
+    # a pass reads a semigroup's cached table rather than building another
+    builds.clear()
+    S = normalize((30, 32, 35, 40))
+    assert frobenius(S) == 213 and builds == [1]
+    graded_betti(S)
+    assert builds == [1]
 
 
 def test_a_sweep_checks_each_semigroup_once(monkeypatch):

@@ -345,6 +345,38 @@ def test_apery_matches_oracle_random(raw, data):
     assert apery(S, x) == brute_apery(S.generators, x)
 
 
+@st.composite
+def _raw_runs(draw):
+    """1-6 raw generator lists of one length n in 2..8, each scaled by a
+    common factor and given a duplicate entry, so that each keeps n."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    raws = draw(st.lists(st.lists(st.integers(min_value=2, max_value=30), min_size=n,
+                                  max_size=n, unique=True), min_size=1, max_size=6))
+    factors = draw(st.lists(st.integers(min_value=1, max_value=3),
+                            min_size=len(raws), max_size=len(raws)))
+    return [[f * a for a in raw] + [f * raw[0]] for f, raw in zip(factors, raws)]
+
+
+@given(_raw_runs())
+# the second generator's cycles: ⟨41, 42, 43⟩ and ⟨30, 31, 37⟩ share a
+# padded matrix, and ⟨40, 60, 61⟩ and ⟨12, 18, 19⟩ (20 and 6 cycles of
+# length 2) another
+@example([[40, 60, 61], [41, 42, 43], [12, 18, 19], [30, 31, 37]])
+@settings(max_examples=60, deadline=None)
+def test_run_apery_tables_match_oracle(raws):
+    specs = [normalize(raw) for raw in raws]
+    generators, ap, base = semigroup.apery_run(specs)
+    assert generators.tolist() == [list(S.generators) for S in specs]
+    for S, lo in zip(specs, base.tolist()):
+        q = S.generators[0]
+        table = ap[lo:lo + q].tolist()
+        assert [w % q for w in table] == list(range(q))
+        assert set(table) == brute_apery(S.generators, q)
+        # each member's table views the run's array
+        assert np.shares_memory(S.membership.ap, ap)
+        assert S.membership.frobenius == brute_frobenius(S.generators)
+
+
 def _oracle_canonical(gens, m, allowed):
     facts = [f for f in brute_factorizations(gens, m)
              if all(e == 0 for i, e in enumerate(f) if i not in allowed)]
