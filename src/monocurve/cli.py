@@ -366,7 +366,17 @@ def main():
     # one attribute read executes the engine's modules, numpy included; that
     # heap lives as long as the process, so the collections during the command
     # and at shutdown need not walk it
-    family.FamilySpec
+    try:
+        family.FamilySpec
+    except ImportError:
+        # Pythons before 3.13 drop the error of a failed import inside a lazy
+        # module and report a from-import of an engine module instead, so the
+        # engine's one dependency is imported by name to find the cause
+        try:
+            import numpy  # noqa: F401
+        except ImportError as e:
+            sys.exit(f"monocurve: error: the engine needs numpy: {e}")
+        raise
     gc.freeze()
     sys.exit(execute(args, sys.stdout, sys.stderr))
 

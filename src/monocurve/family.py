@@ -8,6 +8,11 @@ with the default offset 1 this reproduces the published tables, whose row 29
 for the family (2,3,5) is ⟨30,32,35,40⟩. The theorem checks always speak of
 the actual leading generator: the complete-intersection criterion divides the
 first entry of the tuple itself, never a row label.
+
+A theorem row's complete-intersection verdict is its Betti table's
+(mu = n - 1), cross-checked against Delorme's gluing test, which decides
+membership by arithmetic alone and so needs no Apéry table, no minimal
+generators and no homology.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
 import os
 from importlib.resources import files
 from typing import NamedTuple
 
 from .betti import batches, evaluate_run, graded_betti
-from .binomials import (Binomial, binomial_from_vector, generates,
-                        kernel_member, minimal_generators)
+from .binomials import Binomial, binomial_from_vector, generates, kernel_member
 from .errors import (HypothesisNotMetError, InvalidInputError,
                      MonocurveError, OutOfRangeError)
 from .semigroup import SemigroupSpec, as_integer, normalize
@@ -198,20 +203,98 @@ def is_complete_intersection(S: SemigroupSpec) -> bool:
     """Whether the defining ideal is a complete intersection: mu = n - 1
     (:attr:`GradedBettiTable.ci`), for any number of generators n.
 
-    mu comes from the minimal-generator construction and is cross-checked
-    against the first Betti total of the homology route.
+    The verdict of the homology route is cross-checked against Delorme's
+    gluing test (:func:`_glued`), which uses arithmetic alone.
     """
     return _checked_table(S).ci
 
 
 def _checked_table(S: SemigroupSpec):
-    """S's Betti table, its mu cross-checked against the minimal generators."""
-    # the table's pass caches the patterns that minimal_generators reads
+    """S's Betti table, its complete-intersection verdict cross-checked
+    against Delorme's gluing test on the minimal generators."""
     table = graded_betti(S)
-    _, mu = minimal_generators(S)
-    if mu != table.mu:
-        raise MonocurveError(f"mu={mu} disagrees with first Betti number {table.mu}")
+    glued = _glued(_minimal(S.generators))
+    if glued != table.ci:
+        raise MonocurveError(
+            f"generators {S.generators}: the gluing test gives complete intersection "
+            f"{glued}, the Betti table (mu={table.mu}) gives {table.ci}")
     return table
+
+
+def _minimal(generators):
+    """The minimal generating set of ⟨generators⟩ (sorted and distinct): the
+    generators outside the span of the smaller ones. When 2*a1 > an, no sum
+    of two or more generators is one, so all are minimal."""
+    if 2 * generators[0] > generators[-1]:
+        return generators
+    kept = [generators[0]]
+    for a in generators[1:]:
+        if not _member(a, kept):
+            kept.append(a)
+    return tuple(kept)
+
+
+def _member(m, generators):
+    """Whether m >= 0 is in ⟨generators⟩ (sorted, positive), from arithmetic
+    alone. With the gcd divided out, one generator is 1, and two coprime
+    x < y hold m iff m >= y*(m*y⁻¹ mod x), the least multiple of y
+    congruent to m mod x. More hold m iff the least sum of the others in
+    m's class mod the least generator q is at most m: Dijkstra over the
+    classes mod q (Nijenhuis's view of the Apéry set), settling only the
+    sums up to m, a handful in a theorem row."""
+    d = math.gcd(*generators)
+    if m % d:
+        return False
+    m, generators = m // d, [a // d for a in generators]
+    if len(generators) == 1:
+        return True
+    if len(generators) == 2:
+        x, y = generators
+        return m >= y * (m * pow(y, -1, x) % x)
+    import heapq  # only here, so that betti, gens and critical never load it
+    q, *others = generators
+    least, heap = {0: 0}, [(0, 0)]
+    while heap:
+        w, r = heapq.heappop(heap)
+        if r == m % q:
+            return True
+        if w > least[r]:
+            continue
+        for b in others:
+            v = w + b
+            if v <= m and v < least.get(v % q, m + 1):
+                least[v % q] = v
+                heapq.heappush(heap, (v, v % q))
+    return False
+
+
+def _glued(generators):
+    """Delorme's test (Ann. Sci. ÉNS 1976; Rosales and García-Sánchez,
+    Numerical Semigroups, 2009) of whether ⟨generators⟩, minimally generated
+    by the sorted ``generators``, is a complete intersection.
+
+    One or two generators are. More are iff they split into A1 and A2 that
+    glue, d2 in ⟨A1/d1⟩ and d1 in ⟨A2/d2⟩ with di = gcd Ai, and both
+    ⟨Ai/di⟩, minimally generated by Ai/di, are complete intersections. A
+    split with d1 = 1 never glues: d2 in ⟨A1⟩ would put all of A2, multiples
+    of d2, in ⟨A1⟩, and the generators are minimal. Likewise d2 = 1.
+    """
+    if len(generators) <= 2:
+        return True
+    first, *others = generators
+    for size in range(len(others)):
+        for picked in itertools.combinations(others, size):
+            left = (first, *picked)
+            right = [a for a in others if a not in picked]
+            d1, d2 = math.gcd(*left), math.gcd(*right)
+            if d1 == 1 or d2 == 1:
+                continue
+            left = [a // d1 for a in left]
+            right = [a // d2 for a in right]
+            if (_member(d2, left) and _member(d1, right)
+                    and _glued(left) and _glued(right)):
+                return True
+    return False
 
 
 def _hs3_min_q(a, b):
@@ -237,16 +320,22 @@ def ci_check_3gen(q, a, b) -> bool:
     if q < _hs3_min_q(a, b):
         raise OutOfRangeError(
             f"q={q} below max(ab+b^2, ab+a^2); the criterion makes no claim")
+    result = _hs3_criterion(q, a, b)
+    if math.gcd(a, b) == 1 and result != (q % (a + b) == 0):
+        raise MonocurveError(
+            f"q={q}, a={a}, b={b}: the general criterion gives complete intersection "
+            f"{result}, its coprime special case (a+b) | q gives {not result}")
+    return result
+
+
+def _hs3_criterion(q, a, b):
+    """The general criterion of :func:`ci_check_3gen`, for any a, b."""
     x = math.gcd(q, a + b)
     if x == 1:
-        result = False
-    else:
-        target = x * (q + a)
-        result = any((target - beta * (q + a + b)) % q == 0
-                     for beta in range(target // (q + a + b) + 1))
-    if math.gcd(a, b) == 1 and result != (q % (a + b) == 0):
-        raise MonocurveError("general criterion disagrees with the coprime special case")
-    return result
+        return False
+    target = x * (q + a)
+    return any((target - beta * (q + a + b)) % q == 0
+               for beta in range(target // (q + a + b) + 1))
 
 
 def hs3_agree(q, a, b):
@@ -374,7 +463,8 @@ def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
     ]
     for v in vectors:
         if not kernel_member(S, v):
-            raise MonocurveError(f"expected ideal generator {v} is not in the kernel")
+            raise MonocurveError(f"generators {S.generators}: expected ideal "
+                                 f"generator {v} is not in the kernel")
     return [binomial_from_vector(v, S.generators) for v in vectors]
 
 

@@ -225,6 +225,19 @@ def test_help_and_usage_errors_load_no_numpy(path, argv):
     assert json.loads(done.stdout.splitlines()[-1]) == [False, False]
 
 
+@pytest.mark.parametrize("path", sorted(_ENGINE_FREE))
+def test_an_engine_command_without_numpy_names_numpy(path):
+    # a None entry in sys.modules makes `import numpy` fail as if it were
+    # not installed
+    script = "import runpy, sys\nsys.modules['numpy'] = None\nsys.argv[0] = 'monocurve'\n"
+    done = subprocess.run([sys.executable, "-c", script + _ENGINE_FREE[path],
+                           "betti", "--gens", "3,5"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("monocurve: error: the engine needs numpy: "
+                           "import of numpy halted; None in sys.modules\n")
+
+
 def test_bare_package_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", _ENGINE_AT_EXIT.format(how="import monocurve")],
                           env=_src_env(), capture_output=True, text=True, check=True)

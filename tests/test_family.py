@@ -5,15 +5,15 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from monocurve import betti, family, semigroup
+from monocurve import betti, binomials, family, semigroup
 from monocurve.betti import graded_betti
 from monocurve.binomials import (binomial_from_vector, generates,
                                  kernel_member, minimal_generators)
 from monocurve.errors import (HypothesisNotMetError, InvalidInputError,
-                              OutOfRangeError)
+                              MonocurveError, OutOfRangeError)
 from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               TheoremReport, ci_check_3gen, detect_period,
                               hs3_sweep, is_complete_intersection,
@@ -21,7 +21,7 @@ from monocurve.family import (FamilyScanReport, FamilySpec, ScanRow,
                               verify_theorem_b, worker_count)
 from monocurve.semigroup import MembershipTable, contains, frobenius, normalize
 
-from oracles import (brute_mu, ideal_equivalent, shift_sequence,
+from oracles import (brute_members, brute_mu, ideal_equivalent, shift_sequence,
                      shifted_kernel_member)
 
 
@@ -75,19 +75,50 @@ def test_is_complete_intersection():
     assert is_complete_intersection(normalize((2, 3)))  # mu = 1 = n - 1
 
 
-@given(st.sets(st.integers(min_value=2, max_value=24), min_size=2, max_size=5))
-@example({2, 3})
-@example({8, 12, 18})
-@example({3, 4, 5})
-@example({30, 32, 35, 40})
-@settings(max_examples=40, deadline=None)
+@st.composite
+def _raw_with_redundancy(draw):
+    """Raw generator lists of 2..7 distinct generators after normalizing: a
+    common factor, a duplicate, sums of drawn generators (never minimal) and
+    any order."""
+    base = draw(st.lists(st.integers(min_value=2, max_value=17), min_size=2, max_size=5,
+                         unique=True))
+    sums = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base)),
+                         max_size=2))
+    raw = base + [x + y for x, y in sums] + draw(st.lists(st.sampled_from(base), max_size=1))
+    factor = draw(st.sampled_from((1, 1, 2, 3)))
+    return draw(st.permutations([factor * a for a in raw]))
+
+
+@given(_raw_with_redundancy())
+@example([2, 3])
+@example([8, 12, 18])
+@example([3, 4, 5])
+@example([30, 32, 35, 40])
+@example([23, 25, 28, 33])
+@example([4, 6, 9, 8, 8])        # 8 = 4 + 4 is dropped, <4, 6, 9> glues
+@example([6, 12, 13, 19, 26])    # 12 and 26 are multiples of smaller generators
+@example([10, 35, 15, 20, 50])   # common factor 5: <2, 3, 4, 7, 10> is <2, 3>
+@settings(max_examples=60, deadline=None)
 def test_complete_intersection_is_mu_of_height_n_minus_1(raw):
     # the defining ideal of a monomial curve in A^n has height n - 1, and it
-    # is a complete intersection iff it needs no more generators than that
-    S = normalize(tuple(raw))
+    # is a complete intersection iff it needs no more generators than that;
+    # the gluing test decides it from the minimal generators alone
+    S = normalize(raw)
+    assume(S.n <= 6)
     ci = brute_mu(S.generators) == S.n - 1
+    assert family._glued(family._minimal(S.generators)) == ci
     assert is_complete_intersection(S) == ci
     assert graded_betti(S).ci == ci
+
+
+@given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=5, unique=True),
+       st.integers(min_value=0, max_value=300))
+@example([5, 7], 14)              # a multiple of the larger of two generators
+@example([4, 6, 9], 11)           # gcd 2 among the first two
+@example([6, 10, 15], 29)         # the Frobenius number
+def test_gluing_membership_agrees_with_brute_members(generators, m):
+    generators = sorted(generators)
+    assert family._member(m, generators) == brute_members(generators, m)[m]
 
 
 def test_ci_check_3gen_examples():
@@ -461,3 +492,81 @@ def test_refusals_name_their_input(case):
     with pytest.raises(InvalidInputError) as info:
         call()
     assert names in str(info.value)
+
+
+def test_theorem_rows_build_no_sub_semigroup_table(monkeypatch):
+    # each run's tables come from one Apéry build; the gluing test needs no
+    # table, no minimal generators and no canonical factorization, and
+    # theorem A's case-i check reads the cached patterns
+    inits, builds, runs = [], [], []
+    original_init, original_apery = semigroup.MembershipTable.__init__, semigroup._apery
+    original_run = family.evaluate_run
+
+    def counted_init(self, generators):
+        inits.append(generators)
+        original_init(self, generators)
+
+    def counted_apery(generators, moduli):
+        builds.append(len(moduli))
+        return original_apery(generators, moduli)
+
+    def counted_run(run):
+        runs.append(len(run))
+        return original_run(run)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("theorem rows build no minimal generators or factorizations")
+
+    monkeypatch.setattr(semigroup.MembershipTable, "__init__", counted_init)
+    monkeypatch.setattr(semigroup, "_apery", counted_apery)
+    monkeypatch.setattr(family, "evaluate_run", counted_run)
+    for module, name in ((binomials, "minimal_generators"), (binomials, "canonical_factorization"),
+                         (semigroup, "canonical_factorization")):
+        monkeypatch.setattr(module, name, refused)
+    assert not hasattr(family, "minimal_generators")
+    for abc, j_min, j_max in (((6, 1, 1), 512, 559), ((2, 3, 5), 1000, 1039)):
+        assert verify_theorem_b(FamilySpec(*abc), j_min, j_max).passed
+    assert len(verify_theorem_a(FamilySpec(2, 3, 5), 20).rows) == 40
+    assert inits == []
+    assert len(builds) == len(runs) > 2
+    assert sum(builds) == sum(runs) == 48 + 40 + 40
+
+
+def _cached_totals(raw, totals):
+    """The spec of ``raw`` with its cached Betti table's totals replaced."""
+    S = normalize(raw)
+    S._cache["table"] = graded_betti(S)._replace(totals=totals)
+    return S
+
+
+def _negated(monkeypatch, name):
+    original = getattr(family, name)
+    monkeypatch.setattr(family, name, lambda *args: not original(*args))
+
+
+_FAMILY_FAULTS = {
+    "gluing-ci": (
+        lambda mp: is_complete_intersection(_cached_totals((30, 32, 35, 40), (1, 4, 4, 1, 0))),
+        "generators (30, 32, 35, 40): the gluing test gives complete intersection True, "
+        "the Betti table (mu=4) gives False"),
+    "gluing-not-ci": (
+        lambda mp: is_complete_intersection(_cached_totals((23, 25, 28, 33), (1, 3, 3, 1, 0))),
+        "generators (23, 25, 28, 33): the gluing test gives complete intersection False, "
+        "the Betti table (mu=3) gives True"),
+    "hs3-coprime-case": (
+        lambda mp: _negated(mp, "_hs3_criterion") or ci_check_3gen(12, 1, 2),
+        "q=12, a=1, b=2: the general criterion gives complete intersection False, "
+        "its coprime special case (a+b) | q gives True"),
+    "case-i-kernel": (
+        lambda mp: mp.setattr(family, "kernel_member", lambda S, v: False)
+        or verify_theorem_a(FamilySpec(2, 3, 5), 1),
+        "generators (10, 12, 15, 20): expected ideal generator (2, 0, 0, -1) "
+        "is not in the kernel"),
+}
+
+
+@pytest.mark.parametrize("case", _FAMILY_FAULTS)
+def test_family_check_errors_name_what_failed(monkeypatch, case):
+    call, message = _FAMILY_FAULTS[case]
+    with pytest.raises(MonocurveError, match=f"^{re.escape(message)}$"):
+        call(monkeypatch)
