@@ -104,16 +104,18 @@ def critical_exponent(S: SemigroupSpec, var) -> Binomial:
     alpha = step
     while alpha <= cap:
         if oracle.contains(alpha * a_i):
+            where = f"generators {S.generators}, x{var}, degree {alpha * a_i}: "
             complement = canonical_factorization(S, alpha * a_i, allowed=others)
             if complement is None:
-                raise MonocurveError("membership certificate has no factorization")
+                raise MonocurveError(where + "membership certificate has no factorization")
             exps = tuple(alpha if j == i else 0 for j in range(S.n))
             b = Binomial(plus=Factorization(exps, alpha * a_i), minus=complement)
             if not b.is_homogeneous():
-                raise MonocurveError("critical binomial is not homogeneous")
+                raise MonocurveError(where + "critical binomial is not homogeneous")
             return b
         alpha += step
-    raise MonocurveError(f"critical exponent search for x{var} exceeded {cap}")
+    raise MonocurveError(f"generators {S.generators}, x{var}: "
+                         f"critical exponent search exceeded {cap}")
 
 
 def full_critical_set(S: SemigroupSpec) -> list[Binomial]:
@@ -134,7 +136,8 @@ def _skeleton_generators(S, bound):
         for mask in comps:
             rep = canonical_factorization(S, m, allowed=_mask_indices(mask))
             if rep is None:
-                raise MonocurveError(f"component of degree {m} has no factorization")
+                raise MonocurveError(f"generators {S.generators}, degree {m}: "
+                                     "a component has no factorization")
             reps.append(rep)
         base, *others = sorted(reps, key=lambda f: canonical_key(f.exponents))
         out.extend(Binomial(plus=base, minus=other) for other in others)
@@ -155,9 +158,13 @@ def minimal_generators(S: SemigroupSpec, bound=None):
     gens = _skeleton_generators(S, bound)
     for g in gens:
         if not g.is_homogeneous() or not kernel_member(S, g.vector()):
-            raise MonocurveError("emitted generator is not in the kernel")
-        if g.plus.support() & g.minus.support():
-            raise MonocurveError("emitted generator has overlapping supports")
+            failed = "is not in the kernel"
+        elif g.plus.support() & g.minus.support():
+            failed = "has overlapping supports"
+        else:
+            continue
+        raise MonocurveError(f"generators {S.generators}, degree {g.plus.degree}: "
+                             f"emitted generator {g} {failed}")
     return gens, len(gens)
 
 

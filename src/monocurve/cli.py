@@ -18,6 +18,7 @@ import functools
 import gc
 import importlib.util
 import json
+import os
 import sys
 import time
 
@@ -364,10 +365,12 @@ def main():
     # argparse exits on --help and usage errors before the engine loads
     args = build_parser().parse_args()
     # one attribute read executes the engine's modules, numpy included; that
-    # heap lives as long as the process, so the collections during the command
-    # and at shutdown need not walk it
+    # heap lives as long as the process, so no collection walks it while it
+    # is built, and once frozen none walks it during the command or at exit
+    gc.disable()
     try:
         family.FamilySpec
+        gc.freeze()
     except ImportError:
         # Pythons before 3.13 drop the error of a failed import inside a lazy
         # module and report a from-import of an engine module instead, so the
@@ -377,8 +380,17 @@ def main():
         except ImportError as e:
             sys.exit(f"monocurve: error: the engine needs numpy: {e}")
         raise
-    gc.freeze()
-    sys.exit(execute(args, sys.stdout, sys.stderr))
+    finally:
+        gc.enable()
+    try:
+        code = execute(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device so that the
+        # flush at exit cannot fail again, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

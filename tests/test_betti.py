@@ -565,6 +565,41 @@ def test_cell_check_errors_name_generators_degree_and_check(monkeypatch, patch, 
         graded_betti(normalize((30, 32, 35, 40)))
 
 
+def _opposite_beta0(S):
+    """+1 and -1 in dimension -1 on two complexes of S away from degree 0 that
+    carry equally many degrees: beta_0's total and its degree-0 entry stay 1.
+    With ranks never negative the degree-0 check implies this one, so only a
+    sign fault such as this reaches it."""
+    _, faces, inverse, counts = degree_patterns(S, default_bound(S))
+    by_count = {}
+    for u, count in zip(faces, counts.tolist()):
+        if u != faces[inverse[0]]:
+            by_count.setdefault(count, []).append(u)
+    up, down = next(us[:2] for us in by_count.values() if len(us) > 1)
+    return lambda n, u: ((u == up) - (u == down),) + (0,) * n
+
+
+# per check of a full table, given S, the ranks a fault adds to complex u's
+# (dimensions -1..n-1)
+_TABLE_FAULTS = {
+    "beta_0 supported away from degree 0": _opposite_beta0,
+    "alternating sum of Betti totals is nonzero": lambda S: lambda n, u: (0, 0, 1) + (0,) * (n - 2),
+    # a class in two adjacent dimensions keeps the alternating sum
+    "projective dimension exceeds n-1": lambda S: lambda n, u: (0,) * (n - 1) + (1, 1),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_TABLE_FAULTS))
+def test_table_check_errors_name_generators_and_check(monkeypatch, check):
+    gens = (30, 32, 35, 40)
+    added = _TABLE_FAULTS[check](normalize(gens))
+    original = betti._reduced_ranks
+    monkeypatch.setattr(betti, "_reduced_ranks",
+                        lambda n, u: tuple(r + d for r, d in zip(original(n, u), added(n, u))))
+    with pytest.raises(MonocurveError, match=rf"^generators \(30, 32, 35, 40\): {check}$"):
+        graded_betti(normalize(gens))
+
+
 def test_homology_cells_stay_within_apery_koszul_bound(monkeypatch):
     # counts, not timings: cells are F ⊆ {2..8}, so a boundary matrix has at
     # most C(7,3)·C(7,4) entries; the whole complexes would need 1.9 million

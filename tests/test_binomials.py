@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monocurve import binomials, semigroup
 from monocurve.binomials import (Binomial, binomial_from_vector,
                                  critical_exponent, full_critical_set,
                                  generates, kernel_member, minimal_generators)
-from monocurve.errors import InvalidInputError
+from monocurve.errors import InvalidInputError, MonocurveError
 from monocurve.semigroup import Factorization, normalize
 
 from oracles import (brute_factorizations, brute_generator_degrees, brute_mu,
@@ -266,3 +267,54 @@ def test_emitted_generators_are_kernel_homogeneous(raw):
         assert g.is_homogeneous()
         assert kernel_member(S, g.vector())
         assert not (g.plus.support() & g.minus.support())
+
+
+def _without_factorizations(mp):
+    mp.setattr(binomials, "canonical_factorization", lambda S, m, allowed=None: None)
+
+
+def _off_degree_factorizations(mp):
+    original = binomials.canonical_factorization
+    mp.setattr(binomials, "canonical_factorization",
+               lambda S, m, allowed=None: original(S, m, allowed)._replace(degree=m + 1))
+
+
+# each fault makes one internal check fire on <30, 32, 35, 40>, whose critical
+# binomial for x3 and first minimal generator are x3^2 - x1*x4 in degree 70
+_BINOMIAL_FAULTS = {
+    "critical-no-factorization": (
+        _without_factorizations, lambda S: critical_exponent(S, 3),
+        "generators (30, 32, 35, 40), x3, degree 70: "
+        "membership certificate has no factorization"),
+    "critical-not-homogeneous": (
+        _off_degree_factorizations, lambda S: critical_exponent(S, 3),
+        "generators (30, 32, 35, 40), x3, degree 70: critical binomial is not homogeneous"),
+    # the cap is min over j != 3 of a_j / gcd(a_j, 35): 30 / 5
+    "critical-cap": (
+        lambda mp: mp.setattr(semigroup.MembershipTable, "contains", lambda self, m: False),
+        lambda S: critical_exponent(S, 3),
+        "generators (30, 32, 35, 40), x3: critical exponent search exceeded 6"),
+    "component-no-factorization": (
+        _without_factorizations, minimal_generators,
+        "generators (30, 32, 35, 40), degree 70: a component has no factorization"),
+    "generator-not-in-kernel": (
+        lambda mp: mp.setattr(binomials, "kernel_member", lambda S, v: False),
+        minimal_generators,
+        "generators (30, 32, 35, 40), degree 70: "
+        "emitted generator x3^2 - x1*x4 is not in the kernel"),
+    # every component searched over all the variables: both sides of each
+    # binomial are the same canonical factorization, a kernel member
+    "generator-overlapping-supports": (
+        lambda mp: mp.setattr(binomials, "_mask_indices", lambda mask: [0, 1, 2, 3]),
+        minimal_generators,
+        "generators (30, 32, 35, 40), degree 70: "
+        "emitted generator x3^2 - x3^2 has overlapping supports"),
+}
+
+
+@pytest.mark.parametrize("case", _BINOMIAL_FAULTS)
+def test_binomial_check_errors_name_what_failed(monkeypatch, case):
+    fault, call, message = _BINOMIAL_FAULTS[case]
+    fault(monkeypatch)
+    with pytest.raises(MonocurveError, match=f"^{re.escape(message)}$"):
+        call(normalize((30, 32, 35, 40)))

@@ -564,30 +564,35 @@ def test_json_payload_matches_its_command_schema(command, monkeypatch):
 
 
 # Runs cli.main() on the given arguments in a fresh interpreter and prints,
-# as its last line, each step main() took with whether numpy was loaded at
-# that step, and the exit code.
+# as its last line, each step main() took with whether numpy was loaded, whether
+# the collector was on and how many collections had run by that step, and the
+# exit code.
 _MAIN_STEPS = """
 import gc, json, sys
 from monocurve import cli
-steps = []
+steps, collections = [], []
 build_parser, execute = cli.build_parser, cli.execute
+
+def step(name):
+    steps.append([name, "numpy" in sys.modules, gc.isenabled(), len(collections)])
 
 def recording_parser():
     parser = build_parser()
     parse_args = parser.parse_args
     def parse(*args):
         parsed = parse_args(*args)
-        steps.append(["parse", "numpy" in sys.modules])
+        step("parse")
         return parsed
     parser.parse_args = parse
     return parser
 
 def recording_execute(*args):
-    steps.append(["execute", "numpy" in sys.modules])
+    step("execute")
     return execute(*args)
 
 cli.build_parser, cli.execute = recording_parser, recording_execute
-gc.freeze = lambda: steps.append(["freeze", "numpy" in sys.modules])
+gc.freeze = lambda: step("freeze")
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info))
 sys.argv[0] = "monocurve"
 try:
     cli.main()
@@ -597,20 +602,32 @@ except SystemExit as e:
 
 
 def test_main_freezes_the_import_heap_before_run():
-    # parse, then the engine (numpy) loads, then the freeze, then the command
+    # parse, then the engine (numpy) loads with collection off, then the
+    # freeze, then the command with collection on again
     for argv, code in (("betti --gens 30,32,35,40", 0),
                        ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
                        ("verify theorem-a --abc 12,3,1 --n-max 3", 2)):
         done = subprocess.run([sys.executable, "-c", _MAIN_STEPS, *argv.split()],
                               env=_src_env(), capture_output=True, text=True, check=True)
         steps, exit_code = json.loads(done.stdout.splitlines()[-1])
-        assert steps == [["parse", False], ["freeze", True], ["execute", True]], argv
+        assert [s[:3] for s in steps] == [["parse", False, True], ["freeze", True, False],
+                                          ["execute", True, True]], argv
+        parsed, frozen = steps[0][3], steps[1][3]
+        assert frozen == parsed, f"{argv}: {frozen - parsed} collections while the engine loaded"
         assert exit_code == code, argv
 
 
 def test_run_freezes_nothing():
+    # nor does it change the collector's state, whichever its caller chose
     before = gc.get_freeze_count()
-    assert run_cli(["betti", "--gens", "30,32,35,40"])[0] == 0
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_cli(["betti", "--gens", "30,32,35,40"])[0] == 0
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
     assert gc.get_freeze_count() == before
 
 
@@ -632,6 +649,26 @@ def test_entry_point_matches_golden_render(command, fmt, extra):
     code, out, err = _entry_point(command.split() + ["--format", fmt, *extra])
     assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN_RENDERS[command][fmt]
     assert sum(line.startswith("elapsed_ms=") for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", ["table --example 1 --format csv",
+                                  "betti --gens 30,32,35,40 --format json"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_entry_point_exits_1_quietly_on_a_closed_pipe(argv, unbuffered):
+    # the read end is closed before the command starts, so its first write
+    # to stdout fails with EPIPE: in execute when stdout is unbuffered, else
+    # when main() flushes the output
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "monocurve.cli", *argv.split()],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
 
 
 def test_entry_point_usage_error():
