@@ -184,25 +184,27 @@ def _skeleton_components(nvars, faceset) -> tuple[int, ...]:
     memo = _COMPONENTS_MEMO.get(key)
     if memo is not None:
         return memo
-    vertices = [i for i in range(nvars) if faceset >> (1 << i) & 1]
-    parent = {i: i for i in vertices}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p in range(len(vertices)):
-        for q in range(p + 1, len(vertices)):
-            i, k = vertices[p], vertices[q]
-            if faceset >> ((1 << i) | (1 << k)) & 1:
-                parent[find(i)] = find(k)
-    masks: dict[int, int] = {}
-    for i in vertices:
-        r = find(i)
-        masks[r] = masks.get(r, 0) | (1 << i)
-    comps = tuple(sorted(masks.values(), key=lambda m: m & -m))
+    # each vertex's neighbours in the 1-skeleton, as a bitmask
+    vertices, neighbours = 0, [0] * nvars
+    for i in range(nvars):
+        if faceset >> (1 << i) & 1:
+            for k in range(i):
+                if vertices >> k & 1 and faceset >> ((1 << i) | (1 << k)) & 1:
+                    neighbours[i] |= 1 << k
+                    neighbours[k] |= 1 << i
+            vertices |= 1 << i
+    comps = []
+    while vertices:
+        # grow the component of the least vertex left by its members' neighbours
+        comp = frontier = vertices & -vertices
+        while frontier:
+            low = frontier & -frontier
+            reached = neighbours[low.bit_length() - 1] & ~comp
+            comp |= reached
+            frontier = (frontier ^ low) | reached
+        comps.append(comp)
+        vertices &= ~comp
+    comps = tuple(comps)
     _COMPONENTS_MEMO[key] = comps
     return comps
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import gc
 import importlib.util
-import json
 import os
 import sys
 import time
@@ -348,10 +346,15 @@ def execute(args, stdout, stderr) -> int:
         return EXIT_USAGE
     elapsed_ms = int((time.perf_counter() - start) * 1000)
 
+    # each format imports its own writer, so no path loads the other's
     if args.format == "json":
+        import json
+
         doc = {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
         stdout.write(json.dumps(doc, indent=2) + "\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)

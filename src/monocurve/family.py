@@ -17,13 +17,10 @@ generators and no homology.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
 import os
-from importlib.resources import files
 from typing import NamedTuple
 
 from .betti import batches, evaluate_run, graded_betti
@@ -31,6 +28,13 @@ from .binomials import Binomial, binomial_from_vector, generates, kernel_member
 from .errors import (HypothesisNotMetError, InvalidInputError,
                      MonocurveError, OutOfRangeError)
 from .semigroup import SemigroupSpec, as_integer, normalize
+
+
+# Cap on the rows of one scan or theorem check; a longer range or a larger
+# n_max is refused with OutOfRangeError before any row is made. At the cap,
+# theorem B on (2,3,5) over 1000..66535, rendered as JSON, peaks at 157 MB
+# of RSS.
+MAX_ROWS = 1 << 16
 
 
 class _Family(NamedTuple):
@@ -140,6 +144,14 @@ def worker_count(jobs, tasks):
     return max(1, min(jobs, tasks, cpus))
 
 
+def _check_rows(F: FamilySpec, rows, what):
+    """Refuse a check of F whose ``what`` (its range or n_max) makes more
+    than MAX_ROWS rows."""
+    if rows > MAX_ROWS:
+        raise OutOfRangeError(f"family {(F.a, F.b, F.c)}: {what} makes {rows:,} rows, "
+                              f"above the cap of {MAX_ROWS:,}")
+
+
 def _map_ordered(fn, tasks, jobs):
     """fn(list of tasks) -> one row per task, over runs of consecutive tasks
     in worker processes; rows come back in task order."""
@@ -155,7 +167,8 @@ def _map_ordered(fn, tasks, jobs):
 
 
 def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
-    """One row per j in [j_min, j_max], plus period detection when possible.
+    """One row per j in [j_min, j_max], plus period detection when possible;
+    a range of more than MAX_ROWS rows is refused.
 
     Rows are independent; with jobs > 1 they are computed in worker processes
     and collected in j order, so the worker count never changes the result.
@@ -163,6 +176,7 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     if j_min < 1 or j_min > j_max:
         raise InvalidInputError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
+    _check_rows(F, j_max - j_min + 1, f"j={j_min}..{j_max}")
     rows = _map_ordered(functools.partial(_scan_rows, F), range(j_min, j_max + 1), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
@@ -424,9 +438,9 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
     """Compare CI status against (a+b+c) | j across a range of true shifts.
 
     Here j is the leading generator itself. Requires the hypotheses of
-    :func:`_require_theorem_hypotheses` and j_min >= (a+b+c)^3, the theorem's
-    threshold; the report asserts nothing beyond the tested range and lists
-    any counterexample verbatim.
+    :func:`_require_theorem_hypotheses`, j_min >= (a+b+c)^3, the theorem's
+    threshold, and at most MAX_ROWS rows; the report asserts nothing beyond
+    the tested range and lists any counterexample verbatim.
     """
     _require_theorem_hypotheses(F)
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
@@ -435,6 +449,7 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
         raise InvalidInputError(f"need j_min <= j_max, got j_min={j_min}, j_max={j_max}")
+    _check_rows(F, j_max - j_min + 1, f"j={j_min}..{j_max}")
     rows = _map_ordered(functools.partial(_tb_rows, F), range(j_min, j_max + 1), jobs)
     return TheoremReport(family=F, rows=rows)
 
@@ -482,7 +497,8 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
     threshold, so correct small shifts that break the pattern are listed as
     counterexamples rather than hidden, e.g. (12,3,1) at j = 24 and j = 36,
     which are complete intersections with mu = 3. Triples with
-    gcd(a,b,c) > 1 are refused, as in :func:`verify_theorem_b`.
+    gcd(a,b,c) > 1 are refused, as in :func:`verify_theorem_b`, and so is an
+    n_max that makes more than MAX_ROWS rows.
     """
     _require_theorem_hypotheses(F)
     n_max = as_integer(n_max, "n_max")
@@ -490,12 +506,14 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
         raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
     a, b, c = F.a, F.b, F.c
     s = F.period
-    # (case, n, t, stride): case i has j = s*n, cases ii and iii j = s*n + stride*t
-    cases = [("i", n, None, 0) for n in range(1, n_max + 1)]
+    # (case, ts, stride): case i has j = s*n, cases ii and iii j = s*n + stride*t
+    subfamilies = [("i", [None], 0)]
     for case, p, stride in (("ii", F.p_c, a + b), ("iii", F.p_a, b + c)):
         if p is not None:
-            ts = range(1, p + 1) if include_t else range(1, 2)
-            cases += [(case, n, t, stride) for n in range(1, n_max + 1) for t in ts]
+            subfamilies.append((case, range(1, p + 1) if include_t else range(1, 2), stride))
+    _check_rows(F, n_max * sum(len(ts) for _, ts, _ in subfamilies), f"n_max={n_max}")
+    cases = [(case, n, t, stride) for case, ts, stride in subfamilies
+             for n in range(1, n_max + 1) for t in ts]
     js = [s * n + stride * (t or 0) for _, n, t, stride in cases]
     check_ideal = F.p_c is not None and math.gcd(a, b) == 1
     rows: list[TheoremARow] = []
@@ -529,6 +547,10 @@ class TableCheck(NamedTuple):
 
 
 def load_expected_table(example: int) -> dict[int, tuple[int, ...]]:
+    import csv
+    import io
+    from importlib.resources import files
+
     text = files("monocurve").joinpath("data", f"table{example}.csv").read_text()
     rows = {}
     for record in csv.DictReader(io.StringIO(text)):

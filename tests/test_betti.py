@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from unittest import mock
 
+import networkx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -99,8 +100,8 @@ def _faceset(faces):
 
 
 @st.composite
-def _complexes(draw):
-    n = draw(st.integers(min_value=1, max_value=7))
+def _complexes(draw, max_vars=7):
+    n = draw(st.integers(min_value=1, max_value=max_vars))
     facets = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
     return n, _closure(facets)
 
@@ -111,6 +112,20 @@ def test_homology_matches_full_complex_oracle(case):
     n, faces = case
     C = DivisorComplex(degree=0, nvars=n, faces=faces)
     assert reduced_homology_ranks(C) == full_complex_ranks(n, _faceset(faces))
+
+
+@given(_complexes(max_vars=8))
+@settings(max_examples=300, deadline=None)
+def test_skeleton_components_match_networkx(case):
+    n, faces = case
+    graph = networkx.Graph()
+    graph.add_nodes_from(i for i in range(n) if 1 << i in faces)
+    graph.add_edges_from((i, k) for i, k in itertools.combinations(range(n), 2)
+                         if (1 << i) | (1 << k) in faces)
+    masks = [sum(1 << i for i in part) for part in networkx.connected_components(graph)]
+    with mock.patch.object(betti, "_COMPONENTS_MEMO", {}):
+        comps = betti._skeleton_components(n, _faceset(faces))
+    assert comps == tuple(sorted(masks, key=lambda m: m & -m))
 
 
 # the 6-vertex triangulation of the real projective plane

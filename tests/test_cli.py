@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -127,14 +128,15 @@ def test_jobs_do_not_change_bytes(monkeypatch):
 
 # Runs one command in a fresh interpreter, then prints as its last line the
 # exit code, whether the command wrote a result, and which of the given
-# modules it left loaded.
+# modules it left loaded; json is imported only after they are read.
 _LOADED_AFTER = """
-import io, json, sys
+import io, sys
 from monocurve import cli
 out = io.StringIO()
 code = cli.run(sys.argv[1:], out, io.StringIO())
-names = {names!r}
-print(json.dumps([code, bool(out.getvalue()), sorted(names & set(sys.modules))]))
+loaded = sorted({names!r} & set(sys.modules))
+import json
+print(json.dumps([code, bool(out.getvalue()), loaded]))
 """
 
 
@@ -146,18 +148,29 @@ def _src_env():
 
 
 def test_default_commands_load_no_pool_or_diff_modules():
-    names = {"concurrent.futures.process", "multiprocessing", "difflib"}
+    # the children run without site (python -S), whose .pth files can import
+    # modules such as importlib.resources into every process; numpy's
+    # directory goes on PYTHONPATH instead
+    import numpy
     env = _src_env()
-    script = _LOADED_AFTER.format(names=names)
-    for argv in (["--help"],
-                 ["betti", "--gens", "30,32,35,40"],
-                 ["scan", "--abc", "2,3,5", "--from", "22", "--to", "31",
-                  "--jobs", "1"]):
-        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+    env["PYTHONPATH"] += os.pathsep + str(Path(numpy.__file__).resolve().parents[1])
+    pool_or_diff = {"concurrent.futures.process", "multiprocessing", "difflib"}
+    writers = {"json", "csv"}
+    golden = {"csv", "importlib.resources"}
+    for argv, names, expected in (
+            ("--help", writers, 0),
+            ("scan --help", writers, 0),
+            ("betti", writers, 1),
+            ("betti --gens 30,32,35,40", set(), 0),
+            ("betti --gens 30,32,35,40 --format json", golden, 0),
+            ("verify theorem-b --abc 2,3,5 --from 1000 --to 1019 --format json", golden, 0),
+            ("scan --abc 2,3,5 --from 22 --to 31 --jobs 1", set(), 0),
+            ("table --example 1 --format csv", {"json"}, 0)):
+        script = _LOADED_AFTER.format(names=pool_or_diff | names)
+        done = subprocess.run([sys.executable, "-S", "-c", script, *argv.split()], env=env,
                               capture_output=True, text=True, check=True)
         code, wrote, loaded = json.loads(done.stdout.splitlines()[-1])
-        assert code == 0, argv
-        assert wrote, argv
+        assert (code, wrote) == (expected, expected == 0), argv
         assert loaded == [], (argv, loaded)
 
 
@@ -186,6 +199,27 @@ def test_input_that_checks_nothing_exits_1(argv, names):
         assert (code, out) == (1, ""), (argv, fmt)
         assert err.startswith("monocurve: error: ")
         assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify theorem-b --abc 2,3,5 --from 1000 --to 999999999 --jobs 1",
+     "j=1000..999999999 makes 999,999,000 rows"),
+    ("verify theorem-a --abc 2,3,5 --n-max 99999999", "n_max=99999999 makes 199,999,998 rows"),
+])
+def test_ranges_above_the_row_cap_exit_1_at_once(argv, message):
+    # the child caps its own address space at 1 GiB, so that a range that
+    # escapes the row cap fails on its own rather than exhausting the machine
+    script = ("import resource, runpy, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "sys.argv[0] = 'monocurve'\n"
+              "runpy.run_module('monocurve.cli', run_name='__main__', alter_sys=True)\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script, *argv.split()], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (f"monocurve: error: family (2, 3, 5): {message}, "
+                           "above the cap of 65,536\n")
 
 
 def test_bound_override_zero_is_legal():

@@ -364,6 +364,28 @@ def test_verify_theorem_a_guards():
         verify_theorem_a(FamilySpec(2, 3, 5), n_max=0)
 
 
+# (call of n, n that fits the cap of 10, n that does not, its refusal); on
+# (2,3,5), p_c = 1, so theorem A makes two rows per n: case i and case ii
+_ROW_CAP_CASES = {
+    "scan": (lambda n: scan(FamilySpec(2, 3, 5), 22, 21 + n), 10, 11,
+             "family (2, 3, 5): j=22..32 makes 11 rows, above the cap of 10"),
+    "theorem-b": (lambda n: verify_theorem_b(FamilySpec(2, 3, 5), 1000, 999 + n), 10, 11,
+                  "family (2, 3, 5): j=1000..1010 makes 11 rows, above the cap of 10"),
+    "theorem-a": (lambda n: verify_theorem_a(FamilySpec(2, 3, 5), n // 2), 10, 12,
+                  "family (2, 3, 5): n_max=6 makes 12 rows, above the cap of 10"),
+}
+
+
+@pytest.mark.parametrize("case", _ROW_CAP_CASES)
+def test_checks_above_the_row_cap_are_refused(monkeypatch, case):
+    call, fits, over, message = _ROW_CAP_CASES[case]
+    monkeypatch.setattr(family, "MAX_ROWS", 10)
+    assert len(call(fits).rows) == 10
+    with pytest.raises(OutOfRangeError) as info:
+        call(over)
+    assert str(info.value) == message
+
+
 def test_theorem_b_fails_on_flagged_triple_with_common_factor():
     # (3,3,6) is flagged (c = a+b) but gcd(a,b,c) = 3. Read without the
     # theorem gate, ⟨j, j+3, j+6, j+12⟩ is a complete intersection exactly
