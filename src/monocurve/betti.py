@@ -424,16 +424,18 @@ def evaluate_run(run) -> list[GradedBettiTable]:
     return [S._cache["table"] for S in run]
 
 
-def betti_tables(specs) -> list[GradedBettiTable]:
-    """Full :func:`graded_betti` of each semigroup, with one pass per batch.
+def tabled(specs):
+    """(semigroup, full Betti table) for each of ``specs`` in order: each run of
+    :func:`batches` is evaluated as it forms, so only one run is alive at a time."""
+    for run in batches(specs):
+        yield from zip(run, evaluate_run(run))
 
-    All semigroups need the same number of generators. :func:`batches`
-    checks every one against ``MAX_CELLS`` before any Apéry table is built;
-    then each run's pass stacks its candidates, tests membership, deduplicates
-    complexes and ranks each distinct complex once (:func:`evaluate_run`).
-    """
-    runs = list(batches(specs))
-    return [table for run in runs for table in evaluate_run(run)]
+
+def betti_tables(specs) -> list[GradedBettiTable]:
+    """Full :func:`graded_betti` of each semigroup, walked by :func:`tabled`: a
+    member over ``MAX_CELLS`` is refused as its run forms, after the runs
+    before it and before its own run's Apéry table."""
+    return [table for _, table in tabled(specs)]
 
 
 def graded_betti(S: SemigroupSpec, bound=None) -> GradedBettiTable:

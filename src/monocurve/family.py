@@ -23,7 +23,8 @@ import math
 import os
 from typing import NamedTuple
 
-from .betti import batches, evaluate_run, graded_betti
+from . import semigroup
+from .betti import graded_betti, tabled
 from .binomials import Binomial, binomial_from_vector, generates, kernel_member
 from .errors import (HypothesisNotMetError, InvalidInputError,
                      MonocurveError, OutOfRangeError)
@@ -109,21 +110,11 @@ class FamilyScanReport(NamedTuple):
     period: PeriodInfo | None = None
 
 
-def _tabled(specs):
-    """(semigroup, Betti table) for each of ``specs`` in order, one pass per batch.
-
-    Runs are evaluated as :func:`batches` forms and checks them, so only one
-    is alive at a time and memory stays flat however long the sweep.
-    """
-    for run in batches(specs):
-        yield from zip(run, evaluate_run(run))
-
-
 def _scan_rows(F: FamilySpec, js) -> list[ScanRow]:
     raws = [F.shifted(F.offset + j) for j in js]
     return [ScanRow(j=j, raw_generators=raw, generators=S.generators,
                     content=S.content, totals=table.totals, mu=table.mu, ci=table.ci)
-            for j, raw, (S, table) in zip(js, raws, _tabled(map(normalize, raws)))]
+            for j, raw, (S, table) in zip(js, raws, tabled(map(normalize, raws)))]
 
 
 def worker_count(jobs, tasks):
@@ -144,12 +135,22 @@ def worker_count(jobs, tasks):
     return max(1, min(jobs, tasks, cpus))
 
 
-def _check_rows(F: FamilySpec, rows, what):
-    """Refuse a check of F whose ``what`` (its range or n_max) makes more
-    than MAX_ROWS rows."""
+def _check_rows(where, rows):
+    """Refuse a check, named with its range or n_max by ``where``, that makes
+    more than MAX_ROWS rows."""
     if rows > MAX_ROWS:
-        raise OutOfRangeError(f"family {(F.a, F.b, F.c)}: {what} makes {rows:,} rows, "
-                              f"above the cap of {MAX_ROWS:,}")
+        raise OutOfRangeError(f"{where} makes {rows:,} rows, above the cap of {MAX_ROWS:,}")
+
+
+def _check_cells(where, raws):
+    """Refuse a check, named with its range or bound by ``where``, whose
+    largest semigroup, one of the raw tuples ``raws``, has more candidate
+    cells (a1 * 2**(n-1)) than MAX_CELLS. The pass refuses such a semigroup
+    only as its run forms, after every row before it."""
+    cells = max(S.generators[0] << (S.n - 1) for S in map(normalize, raws))
+    if cells > semigroup.MAX_CELLS:
+        raise OutOfRangeError(f"{where} reaches a semigroup of {cells:,} candidate cells, "
+                              f"above the cap of {semigroup.MAX_CELLS:,}")
 
 
 def _map_ordered(fn, tasks, jobs):
@@ -168,7 +169,8 @@ def _map_ordered(fn, tasks, jobs):
 
 def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     """One row per j in [j_min, j_max], plus period detection when possible;
-    a range of more than MAX_ROWS rows is refused.
+    a range of more than MAX_ROWS rows, or with a semigroup over MAX_CELLS,
+    is refused.
 
     Rows are independent; with jobs > 1 they are computed in worker processes
     and collected in j order, so the worker count never changes the result.
@@ -176,7 +178,13 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     if j_min < 1 or j_min > j_max:
         raise InvalidInputError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    _check_rows(F, j_max - j_min + 1, f"j={j_min}..{j_max}")
+    where = f"family {(F.a, F.b, F.c)}: j={j_min}..{j_max}"
+    _check_rows(where, j_max - j_min + 1)
+    # a row's content divides g = gcd(a,b,c), and one of any g consecutive
+    # shifts is coprime to g, so the largest semigroup is in the last g rows
+    g = math.gcd(F.a, F.b, F.c)
+    _check_cells(where, [F.shifted(F.offset + j)
+                         for j in range(max(j_min, j_max - g + 1), j_max + 1)])
     rows = _map_ordered(functools.partial(_scan_rows, F), range(j_min, j_max + 1), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
@@ -220,13 +228,12 @@ def is_complete_intersection(S: SemigroupSpec) -> bool:
     The verdict of the homology route is cross-checked against Delorme's
     gluing test (:func:`_glued`), which uses arithmetic alone.
     """
-    return _checked_table(S).ci
+    return _checked_table(S, graded_betti(S)).ci
 
 
-def _checked_table(S: SemigroupSpec):
-    """S's Betti table, its complete-intersection verdict cross-checked
-    against Delorme's gluing test on the minimal generators."""
-    table = graded_betti(S)
+def _checked_table(S: SemigroupSpec, table):
+    """S's Betti table ``table``, its complete-intersection verdict
+    cross-checked against Delorme's gluing test on the minimal generators."""
     glued = _glued(_minimal(S.generators))
     if glued != table.ci:
         raise MonocurveError(
@@ -367,11 +374,17 @@ def hs3_sweep(q_max, ab_max):
     disagreement is a dict with keys q, a, b, lemma_ci and mu. Triples are
     made as the batches consume them, so memory stays flat in q_max, and read
     back from the generators (q, q+a, q+a+b), which gcd(a, b) = 1 keeps. A
-    sweep with no triple to check is refused rather than reported as a pass."""
+    sweep with no triple to check is refused rather than reported as a pass,
+    and one with a semigroup over MAX_CELLS before its first triple."""
+    q_max, ab_max = as_integer(q_max, "q_max"), as_integer(ab_max, "ab_max")
     specs = (normalize((q, q + a, q + s)) for s in range(2, ab_max + 1) for a in range(1, s)
              if math.gcd(a, s - a) == 1 for q in range(_hs3_min_q(a, s - a), q_max + 1))
+    if min(q_max, ab_max) >= 2:
+        # the pair a = b = 1 has the least threshold, 2, and each pair's last
+        # triple leads with q_max, so ⟨q_max, q_max+1, q_max+2⟩ is a largest one
+        _check_cells(f"hs3 sweep: q_max={q_max}, ab_max={ab_max}", [(q_max, q_max + 1, q_max + 2)])
     checked, bad = 0, []
-    for S, table in _tabled(specs):
+    for S, table in tabled(specs):
         q, qa, qab = S.generators
         a, b = qa - q, qab - qa
         checked += 1
@@ -431,7 +444,7 @@ def _tb_rows(F: FamilySpec, js) -> list[TheoremBRow]:
     specs = (normalize(F.shifted(j)) for j in js)
     return [TheoremBRow(j=j, generators=S.generators, ci=is_complete_intersection(S),
                         divisible=j % F.period == 0)
-            for j, (S, _) in zip(js, _tabled(specs))]
+            for j, (S, _) in zip(js, tabled(specs))]
 
 
 def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
@@ -439,8 +452,9 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
 
     Here j is the leading generator itself. Requires the hypotheses of
     :func:`_require_theorem_hypotheses`, j_min >= (a+b+c)^3, the theorem's
-    threshold, and at most MAX_ROWS rows; the report asserts nothing beyond
-    the tested range and lists any counterexample verbatim.
+    threshold, at most MAX_ROWS rows and no semigroup over MAX_CELLS; the
+    report asserts nothing beyond the tested range and lists any
+    counterexample verbatim.
     """
     _require_theorem_hypotheses(F)
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
@@ -449,7 +463,10 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
         raise InvalidInputError(f"need j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    _check_rows(F, j_max - j_min + 1, f"j={j_min}..{j_max}")
+    where = f"family {(F.a, F.b, F.c)}: j={j_min}..{j_max}"
+    _check_rows(where, j_max - j_min + 1)
+    # gcd(a,b,c) = 1 leaves every row coprime, so the last is the largest
+    _check_cells(where, [F.shifted(j_max)])
     rows = _map_ordered(functools.partial(_tb_rows, F), range(j_min, j_max + 1), jobs)
     return TheoremReport(family=F, rows=rows)
 
@@ -470,7 +487,7 @@ class TheoremARow(NamedTuple):
 
 
 def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
-    """The explicit CI ideal at j = (a+b+c)n when c = p(a+b), gcd(a,b) = 1."""
+    """The explicit CI ideal at j = (a+b+c)n when c = p(a+b)."""
     vectors = [
         (n + 1, 0, 0, -n),
         (-p, 0, p + 1, -1),
@@ -486,8 +503,8 @@ def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
 def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
     """Spot-check the claimed mu values along the structured subfamilies.
 
-    Case i: j = (a+b+c)n gives mu = 3; when c = p(a+b) with gcd(a,b) = 1 the
-    published generators are additionally checked to generate the ideal by
+    Case i: j = (a+b+c)n gives mu = 3; when c = p(a+b) the published
+    generators are additionally checked to generate the ideal by
     :func:`generates`. Case ii (c = p(a+b)): j = (a+b+c)n + (a+b)t gives
     mu = 4. Case iii (a = p(b+c)): j = (a+b+c)n + (b+c)t gives mu = 4.
     j is the leading generator, as in :func:`verify_theorem_b`.
@@ -498,7 +515,7 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
     counterexamples rather than hidden, e.g. (12,3,1) at j = 24 and j = 36,
     which are complete intersections with mu = 3. Triples with
     gcd(a,b,c) > 1 are refused, as in :func:`verify_theorem_b`, and so is an
-    n_max that makes more than MAX_ROWS rows.
+    n_max that makes more than MAX_ROWS rows or a semigroup over MAX_CELLS.
     """
     _require_theorem_hypotheses(F)
     n_max = as_integer(n_max, "n_max")
@@ -511,17 +528,20 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
     for case, p, stride in (("ii", F.p_c, a + b), ("iii", F.p_a, b + c)):
         if p is not None:
             subfamilies.append((case, range(1, p + 1) if include_t else range(1, 2), stride))
-    _check_rows(F, n_max * sum(len(ts) for _, ts, _ in subfamilies), f"n_max={n_max}")
+    where = f"family {(a, b, c)}: n_max={n_max}"
+    _check_rows(where, n_max * sum(len(ts) for _, ts, _ in subfamilies))
+    # every row is coprime, so each subfamily's largest is its last, at n_max
+    _check_cells(where, [F.shifted(s * n_max + stride * (ts[-1] or 0))
+                         for _, ts, stride in subfamilies])
     cases = [(case, n, t, stride) for case, ts, stride in subfamilies
              for n in range(1, n_max + 1) for t in ts]
     js = [s * n + stride * (t or 0) for _, n, t, stride in cases]
-    check_ideal = F.p_c is not None and math.gcd(a, b) == 1
     rows: list[TheoremARow] = []
     specs = (normalize(F.shifted(j)) for j in js)
-    for (case, n, t, _), j, (S, _) in zip(cases, js, _tabled(specs)):
-        mu = _checked_table(S).mu
+    for (case, n, t, _), j, (S, table) in zip(cases, js, tabled(specs)):
+        mu = _checked_table(S, table).mu
         ideal_ok = None
-        if case == "i" and check_ideal:
+        if case == "i" and F.p_c is not None:
             ideal_ok = generates(S, _case_i_ideal(S, n, F.p_c, a, b))
         rows.append(TheoremARow(case=case, n=n, t=t, j=j, generators=S.generators,
                                 mu=mu, expected_mu=3 if case == "i" else 4,

@@ -230,9 +230,7 @@ class MembershipTable:
             self.modulus = min(reduced)
         else:
             self.content, self.modulus, reduced = 0, 1, ()
-        # modulo 1, the one class holds 0
-        self.ap = (apery_array(reduced, self.modulus) if self.modulus > 1
-                   else np.zeros(1, dtype=np.int64))
+        self.ap = apery_array(reduced, self.modulus)
         self.frobenius = int(self.ap.max()) - self.modulus
 
     @classmethod

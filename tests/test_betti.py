@@ -435,7 +435,8 @@ def test_candidate_cap_refuses_before_allocating(monkeypatch):
     assert f"{8 * a:,}" in str(err.value)
     with pytest.raises(OutOfRangeError):
         degree_patterns(S, 10)
-    # in a batch, the member over the cap is named before any member's table
+    # in a batch, the member over the cap is refused as it joins its run,
+    # before that run's Apéry table: here, before any member's table
     batch = [normalize((30, 32, 35, 40)), S, normalize((5, 7, 9, 11))]
     with pytest.raises(OutOfRangeError, match=rf"^generators \({a}, {a + 1}, {a + 3}, {a + 7}\)"):
         betti_tables(batch)
@@ -701,3 +702,21 @@ def test_pass_peak_memory_per_candidate_cell(gens):
     finally:
         tracemalloc.stop()
     assert peak / (S.generators[0] << (S.n - 1)) <= 16
+
+
+def test_betti_tables_memory_is_flat_in_the_number_of_runs():
+    # each run is evaluated as it forms and its members are dropped with it,
+    # so the peak follows the largest run; forming every run first kept each
+    # finished run's candidate arrays alive through its members' cached
+    # pattern views, so the peak grew with the number of semigroups
+    def peak(count):
+        specs = (normalize((q, q + 1, q + 3)) for q in range(10, 10 + count))
+        tracemalloc.start()
+        try:
+            betti_tables(specs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500), peak(2500)
+    assert large < 3 * small, (small, large)

@@ -201,14 +201,11 @@ def test_input_that_checks_nothing_exits_1(argv, names):
         assert all(name in err for name in names), err
 
 
-@pytest.mark.parametrize("argv, message", [
-    ("verify theorem-b --abc 2,3,5 --from 1000 --to 999999999 --jobs 1",
-     "j=1000..999999999 makes 999,999,000 rows"),
-    ("verify theorem-a --abc 2,3,5 --n-max 99999999", "n_max=99999999 makes 199,999,998 rows"),
-])
-def test_ranges_above_the_row_cap_exit_1_at_once(argv, message):
-    # the child caps its own address space at 1 GiB, so that a range that
-    # escapes the row cap fails on its own rather than exhausting the machine
+def _exits_1_at_once(argv, message):
+    """Run the CLI on ``argv`` in a child; it must exit 1 within a second with
+    ``message`` as its one error line."""
+    # the child caps its own address space at 1 GiB, so that a check that
+    # escapes its cap fails on its own rather than exhausting the machine
     script = ("import resource, runpy, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "sys.argv[0] = 'monocurve'\n"
@@ -218,8 +215,32 @@ def test_ranges_above_the_row_cap_exit_1_at_once(argv, message):
                           capture_output=True, text=True, timeout=60)
     assert time.perf_counter() - start < 1.0
     assert (done.returncode, done.stdout) == (1, "")
-    assert done.stderr == (f"monocurve: error: family (2, 3, 5): {message}, "
-                           "above the cap of 65,536\n")
+    assert done.stderr == f"monocurve: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify theorem-b --abc 2,3,5 --from 1000 --to 999999999 --jobs 1",
+     "j=1000..999999999 makes 999,999,000 rows"),
+    ("verify theorem-a --abc 2,3,5 --n-max 99999999", "n_max=99999999 makes 199,999,998 rows"),
+])
+def test_ranges_above_the_row_cap_exit_1_at_once(argv, message):
+    _exits_1_at_once(argv, f"family (2, 3, 5): {message}, above the cap of 65,536")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("scan --abc 2,3,5 --from 500000 --to 565535 --jobs 1",
+     "family (2, 3, 5): j=500000..565535 reaches a semigroup of 4,524,288 candidate cells"),
+    ("verify theorem-b --abc 2,3,5 --from 500000 --to 530000 --jobs 1",
+     "family (2, 3, 5): j=500000..530000 reaches a semigroup of 4,240,000 candidate cells"),
+    ("verify theorem-a --abc 4,5,9 --n-max 32768",
+     "family (4, 5, 9): n_max=32768 reaches a semigroup of 4,718,664 candidate cells"),
+    ("verify hs3 --q-max 2000000",
+     "hs3 sweep: q_max=2000000, ab_max=12 reaches a semigroup of 8,000,000 candidate cells"),
+])
+def test_checks_above_the_cell_cap_exit_1_at_once(argv, message):
+    # each would compute thousands of rows before its run reached the
+    # semigroup over the cap
+    _exits_1_at_once(argv, f"{message}, above the cap of 4,194,304")
 
 
 def test_bound_override_zero_is_legal():

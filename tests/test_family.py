@@ -386,6 +386,49 @@ def test_checks_above_the_row_cap_are_refused(monkeypatch, case):
     assert str(info.value) == message
 
 
+# (call whose largest semigroup fits the cap, call whose largest does not,
+# the cap, its refusal); on (2,4,6) the last row, ⟨1010, 1012, 1014, 1016⟩
+# with its content 2 divided out, is not the largest
+_CELL_CAP_CASES = {
+    "scan": (lambda: scan(FamilySpec(2, 3, 5), 1000, 1009),
+             lambda: scan(FamilySpec(2, 3, 5), 1000, 1010), 8080,
+             "family (2, 3, 5): j=1000..1010 reaches a semigroup of 8,088 candidate cells, "
+             "above the cap of 8,080"),
+    "scan-content": (lambda: scan(FamilySpec(2, 4, 6), 1000, 1007),
+                     lambda: scan(FamilySpec(2, 4, 6), 1000, 1009), 8071,
+                     "family (2, 4, 6): j=1000..1009 reaches a semigroup of 8,072 candidate "
+                     "cells, above the cap of 8,071"),
+    "theorem-b": (lambda: verify_theorem_b(FamilySpec(2, 3, 5), 1000, 1010),
+                  lambda: verify_theorem_b(FamilySpec(2, 3, 5), 1000, 1011), 8080,
+                  "family (2, 3, 5): j=1000..1011 reaches a semigroup of 8,088 candidate "
+                  "cells, above the cap of 8,080"),
+    "theorem-a": (lambda: verify_theorem_a(FamilySpec(2, 3, 5), 49),
+                  lambda: verify_theorem_a(FamilySpec(2, 3, 5), 50), 3960,
+                  "family (2, 3, 5): n_max=50 reaches a semigroup of 4,040 candidate cells, "
+                  "above the cap of 3,960"),
+    "hs3": (lambda: hs3_sweep(1100, 2), lambda: hs3_sweep(1101, 2), 4400,
+            "hs3 sweep: q_max=1101, ab_max=2 reaches a semigroup of 4,404 candidate cells, "
+            "above the cap of 4,400"),
+}
+
+
+@pytest.mark.parametrize("case", _CELL_CAP_CASES)
+def test_checks_above_the_cell_cap_are_refused_before_any_row(monkeypatch, case):
+    # the pass would refuse the largest semigroup only as its run forms,
+    # after every row before it
+    fits, over, cap, message = _CELL_CAP_CASES[case]
+    monkeypatch.setattr(semigroup, "MAX_CELLS", cap)
+    fits()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built an Apéry table for a refused check")
+
+    monkeypatch.setattr(semigroup, "_apery", boom)
+    with pytest.raises(OutOfRangeError) as info:
+        over()
+    assert str(info.value) == message
+
+
 def test_theorem_b_fails_on_flagged_triple_with_common_factor():
     # (3,3,6) is flagged (c = a+b) but gcd(a,b,c) = 3. Read without the
     # theorem gate, ⟨j, j+3, j+6, j+12⟩ is a complete intersection exactly
@@ -438,7 +481,7 @@ def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
     def stop(run):
         raise FirstBatch(len(run))
 
-    monkeypatch.setattr(family, "evaluate_run", stop)
+    monkeypatch.setattr(betti, "evaluate_run", stop)
     peaks = []
     for q_max in (1000, 4000):
         tracemalloc.start()
@@ -498,6 +541,7 @@ _REFUSALS = {
                   "j_min=1001, j_max=1000"),
     "theorem-a": (lambda: verify_theorem_a(FamilySpec(2, 3, 5), 0), "at least 1, got 0"),
     "hs3-sign": (lambda: ci_check_3gen(0, 3, 6), "q=0, a=3, b=6"),
+    "hs3-sweep": (lambda: hs3_sweep(200, 12.5), "ab_max must be an integer, got 12.5"),
     "hs3-gcd": (lambda: ci_check_3gen(60, 3, 6), "q=60, a=3, b=6"),
     "membership-table": (lambda: MembershipTable((3, 0, 5)), "generators (3, 0, 5)"),
     "contains": (lambda: contains(normalize((3, 5)), -4), "m=-4"),
@@ -519,10 +563,12 @@ def test_refusals_name_their_input(case):
 def test_theorem_rows_build_no_sub_semigroup_table(monkeypatch):
     # each run's tables come from one Apéry build; the gluing test needs no
     # table, no minimal generators and no canonical factorization, and
-    # theorem A's case-i check reads the cached patterns
+    # theorem A's case-i check reads the cached patterns. A run whose members
+    # are all tabled, as theorem B's is_complete_intersection reads its row's
+    # table, builds nothing and is not counted
     inits, builds, runs = [], [], []
     original_init, original_apery = semigroup.MembershipTable.__init__, semigroup._apery
-    original_run = family.evaluate_run
+    original_run = betti.evaluate_run
 
     def counted_init(self, generators):
         inits.append(generators)
@@ -533,21 +579,24 @@ def test_theorem_rows_build_no_sub_semigroup_table(monkeypatch):
         return original_apery(generators, moduli)
 
     def counted_run(run):
-        runs.append(len(run))
+        if any("table" not in S._cache for S in run):
+            runs.append(len(run))
         return original_run(run)
 
     def refused(*args, **kwargs):
-        raise AssertionError("theorem rows build no minimal generators or factorizations")
+        raise AssertionError("a theorem row took a route it does not need")
 
     monkeypatch.setattr(semigroup.MembershipTable, "__init__", counted_init)
     monkeypatch.setattr(semigroup, "_apery", counted_apery)
-    monkeypatch.setattr(family, "evaluate_run", counted_run)
+    monkeypatch.setattr(betti, "evaluate_run", counted_run)
     for module, name in ((binomials, "minimal_generators"), (binomials, "canonical_factorization"),
                          (semigroup, "canonical_factorization")):
         monkeypatch.setattr(module, name, refused)
     assert not hasattr(family, "minimal_generators")
     for abc, j_min, j_max in (((6, 1, 1), 512, 559), ((2, 3, 5), 1000, 1039)):
         assert verify_theorem_b(FamilySpec(*abc), j_min, j_max).passed
+    # theorem A's rows take their tables from the walk, not from graded_betti
+    monkeypatch.setattr(family, "graded_betti", refused)
     assert len(verify_theorem_a(FamilySpec(2, 3, 5), 20).rows) == 40
     assert inits == []
     assert len(builds) == len(runs) > 2
