@@ -367,6 +367,9 @@ def execute(args, stdout, stderr) -> int:
 def main():
     # argparse exits on --help and usage errors before the engine loads
     args = build_parser().parse_args()
+    # numpy's bundled OpenBLAS starts a thread per CPU as it loads; the engine
+    # never calls BLAS (its one matmul is int64), so it starts none
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # one attribute read executes the engine's modules, numpy included; that
     # heap lives as long as the process, so no collection walks it while it
     # is built, and once frozen none walks it during the command or at exit

@@ -143,28 +143,32 @@ def _check_rows(where, rows):
 
 
 def _check_cells(where, raws):
-    """Refuse a check, named with its range or bound by ``where``, whose
-    largest semigroup, one of the raw tuples ``raws``, has more candidate
-    cells (a1 * 2**(n-1)) than MAX_CELLS. The pass refuses such a semigroup
-    only as its run forms, after every row before it."""
+    """Refuse a check, named with its range or bound by ``where``, when the
+    semigroup of any raw tuple in ``raws`` has more candidate cells
+    (a1 * 2**(n-1)) than MAX_CELLS. The pass refuses such a semigroup only as
+    its run forms, after every row before it."""
     cells = max(S.generators[0] << (S.n - 1) for S in map(normalize, raws))
     if cells > semigroup.MAX_CELLS:
         raise OutOfRangeError(f"{where} reaches a semigroup of {cells:,} candidate cells, "
                               f"above the cap of {semigroup.MAX_CELLS:,}")
 
 
-def _map_ordered(fn, tasks, jobs):
-    """fn(list of tasks) -> one row per task, over runs of consecutive tasks
-    in worker processes; rows come back in task order."""
+def _walk(where, rows_of, tasks, raws, jobs=1):
+    """rows_of(list of tasks) -> one row per task, in task order, over runs of
+    consecutive tasks in worker processes. The check ``where`` names, its
+    semigroups made from ``raws`` (one raw tuple per task), is refused first
+    if it has more than MAX_ROWS tasks or a semigroup over MAX_CELLS."""
+    _check_rows(where, len(tasks))
+    _check_cells(where, raws)
     tasks = list(tasks)
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
-        return fn(tasks)
+        return rows_of(tasks)
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
     size = -(-len(tasks) // (4 * workers))
     runs = [tasks[k:k + size] for k in range(0, len(tasks), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(fn, runs) for row in rows]
+        return [row for rows in pool.map(rows_of, runs) for row in rows]
 
 
 def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
@@ -178,14 +182,9 @@ def scan(F: FamilySpec, j_min, j_max, jobs=1) -> FamilyScanReport:
     j_min, j_max = as_integer(j_min, "j_min"), as_integer(j_max, "j_max")
     if j_min < 1 or j_min > j_max:
         raise InvalidInputError(f"need 1 <= j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    where = f"family {(F.a, F.b, F.c)}: j={j_min}..{j_max}"
-    _check_rows(where, j_max - j_min + 1)
-    # a row's content divides g = gcd(a,b,c), and one of any g consecutive
-    # shifts is coprime to g, so the largest semigroup is in the last g rows
-    g = math.gcd(F.a, F.b, F.c)
-    _check_cells(where, [F.shifted(F.offset + j)
-                         for j in range(max(j_min, j_max - g + 1), j_max + 1)])
-    rows = _map_ordered(functools.partial(_scan_rows, F), range(j_min, j_max + 1), jobs)
+    js = range(j_min, j_max + 1)
+    rows = _walk(f"family {(F.a, F.b, F.c)}: j={j_min}..{j_max}", functools.partial(_scan_rows, F),
+                 js, (F.shifted(F.offset + j) for j in js), jobs)
     report = FamilyScanReport(family=F, j_min=j_min, j_max=j_max, rows=rows)
     if len(rows) >= 3 * F.period:
         report = report._replace(period=detect_period(report))
@@ -463,11 +462,9 @@ def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:
         raise OutOfRangeError(f"theorem threshold is j >= {cube}, got j_min={j_min}")
     if j_min > j_max:
         raise InvalidInputError(f"need j_min <= j_max, got j_min={j_min}, j_max={j_max}")
-    where = f"family {(F.a, F.b, F.c)}: j={j_min}..{j_max}"
-    _check_rows(where, j_max - j_min + 1)
-    # gcd(a,b,c) = 1 leaves every row coprime, so the last is the largest
-    _check_cells(where, [F.shifted(j_max)])
-    rows = _map_ordered(functools.partial(_tb_rows, F), range(j_min, j_max + 1), jobs)
+    js = range(j_min, j_max + 1)
+    rows = _walk(f"family {(F.a, F.b, F.c)}: j={j_min}..{j_max}", functools.partial(_tb_rows, F),
+                 js, map(F.shifted, js), jobs)
     return TheoremReport(family=F, rows=rows)
 
 
@@ -500,6 +497,16 @@ def _case_i_ideal(S: SemigroupSpec, n, p, a, b) -> list[Binomial]:
     return [binomial_from_vector(v, S.generators) for v in vectors]
 
 
+def _ta_rows(F: FamilySpec, cases) -> list[TheoremARow]:
+    # each case is (case, n, t, j), j leading; mu is checked before the ideal
+    specs = (normalize(F.shifted(j)) for *_, j in cases)
+    return [TheoremARow(case=case, n=n, t=t, j=j, generators=S.generators,
+                        mu=_checked_table(S, table).mu, expected_mu=3 if case == "i" else 4,
+                        ideal_matches=generates(S, _case_i_ideal(S, n, F.p_c, F.a, F.b))
+                        if case == "i" and F.p_c is not None else None)
+            for (case, n, t, j), (S, table) in zip(cases, tabled(specs))]
+
+
 def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
     """Spot-check the claimed mu values along the structured subfamilies.
 
@@ -530,22 +537,9 @@ def verify_theorem_a(F: FamilySpec, n_max, include_t=True) -> TheoremReport:
             subfamilies.append((case, range(1, p + 1) if include_t else range(1, 2), stride))
     where = f"family {(a, b, c)}: n_max={n_max}"
     _check_rows(where, n_max * sum(len(ts) for _, ts, _ in subfamilies))
-    # every row is coprime, so each subfamily's largest is its last, at n_max
-    _check_cells(where, [F.shifted(s * n_max + stride * (ts[-1] or 0))
-                         for _, ts, stride in subfamilies])
-    cases = [(case, n, t, stride) for case, ts, stride in subfamilies
+    cases = [(case, n, t, s * n + stride * (t or 0)) for case, ts, stride in subfamilies
              for n in range(1, n_max + 1) for t in ts]
-    js = [s * n + stride * (t or 0) for _, n, t, stride in cases]
-    rows: list[TheoremARow] = []
-    specs = (normalize(F.shifted(j)) for j in js)
-    for (case, n, t, _), j, (S, table) in zip(cases, js, tabled(specs)):
-        mu = _checked_table(S, table).mu
-        ideal_ok = None
-        if case == "i" and F.p_c is not None:
-            ideal_ok = generates(S, _case_i_ideal(S, n, F.p_c, a, b))
-        rows.append(TheoremARow(case=case, n=n, t=t, j=j, generators=S.generators,
-                                mu=mu, expected_mu=3 if case == "i" else 4,
-                                ideal_matches=ideal_ok))
+    rows = _walk(where, functools.partial(_ta_rows, F), cases, (F.shifted(j) for *_, j in cases))
     return TheoremReport(family=F, rows=rows)
 
 

@@ -620,16 +620,20 @@ def test_json_payload_matches_its_command_schema(command, monkeypatch):
 
 # Runs cli.main() on the given arguments in a fresh interpreter and prints,
 # as its last line, each step main() took with whether numpy was loaded, whether
-# the collector was on and how many collections had run by that step, and the
+# the collector was on, how many collections had run and how many threads the
+# process had (None where /proc/self/task is missing) by that step, and the
 # exit code.
 _MAIN_STEPS = """
-import gc, json, sys
+import gc, json, os, sys
 from monocurve import cli
 steps, collections = [], []
 build_parser, execute = cli.build_parser, cli.execute
 
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
 def step(name):
-    steps.append([name, "numpy" in sys.modules, gc.isenabled(), len(collections)])
+    steps.append([name, "numpy" in sys.modules, gc.isenabled(), len(collections), threads()])
 
 def recording_parser():
     parser = build_parser()
@@ -658,24 +662,32 @@ except SystemExit as e:
 
 def test_main_freezes_the_import_heap_before_run():
     # parse, then the engine (numpy) loads with collection off, then the
-    # freeze, then the command with collection on again
+    # freeze, then the command with collection on again; numpy's OpenBLAS,
+    # left to the caller's environment here, starts no worker thread
+    env = _src_env()
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
     for argv, code in (("betti --gens 30,32,35,40", 0),
                        ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
                        ("verify theorem-a --abc 12,3,1 --n-max 3", 2)):
         done = subprocess.run([sys.executable, "-c", _MAIN_STEPS, *argv.split()],
-                              env=_src_env(), capture_output=True, text=True, check=True)
+                              env=env, capture_output=True, text=True, check=True)
         steps, exit_code = json.loads(done.stdout.splitlines()[-1])
         assert [s[:3] for s in steps] == [["parse", False, True], ["freeze", True, False],
                                           ["execute", True, True]], argv
         parsed, frozen = steps[0][3], steps[1][3]
         assert frozen == parsed, f"{argv}: {frozen - parsed} collections while the engine loaded"
+        for name, *_, threads in steps[1:]:
+            assert threads in (1, None), f"{argv}: {threads} threads at {name}"
         assert exit_code == code, argv
 
 
 def test_run_freezes_nothing():
-    # nor does it change the collector's state, whichever its caller chose
+    # nor does it change the collector's state, whichever its caller chose,
+    # or the environment, which its caller owns
     before = gc.get_freeze_count()
     was_enabled = gc.isenabled()
+    environ = dict(os.environ)
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
@@ -684,6 +696,7 @@ def test_run_freezes_nothing():
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert gc.get_freeze_count() == before
+    assert dict(os.environ) == environ
 
 
 def _entry_point(argv):

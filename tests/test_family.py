@@ -205,7 +205,7 @@ def test_scan_with_one_worker_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a process pool for one worker")
 
-    # _map_ordered imports the pool class from here when it starts one
+    # _walk imports the pool class from here when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     F = FamilySpec(2, 3, 5, offset=1)
     assert len(scan(F, 22, 22, jobs=8).rows) == 1  # one task
@@ -406,6 +406,10 @@ _CELL_CAP_CASES = {
                   lambda: verify_theorem_a(FamilySpec(2, 3, 5), 50), 3960,
                   "family (2, 3, 5): n_max=50 reaches a semigroup of 4,040 candidate cells, "
                   "above the cap of 3,960"),
+    "theorem-a-iii": (lambda: verify_theorem_a(FamilySpec(10, 2, 3), 49),
+                      lambda: verify_theorem_a(FamilySpec(10, 2, 3), 50), 5960,
+                      "family (10, 2, 3): n_max=50 reaches a semigroup of 6,080 candidate "
+                      "cells, above the cap of 5,960"),
     "hs3": (lambda: hs3_sweep(1100, 2), lambda: hs3_sweep(1101, 2), 4400,
             "hs3 sweep: q_max=1101, ab_max=2 reaches a semigroup of 4,404 candidate cells, "
             "above the cap of 4,400"),
