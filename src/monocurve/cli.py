@@ -12,6 +12,7 @@ output can be diffed or checked into golden tests directly. Exit codes:
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import functools
 import gc
@@ -372,7 +373,7 @@ def main():
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # one attribute read executes the engine's modules, numpy included; that
     # heap lives as long as the process, so no collection walks it while it
-    # is built, and once frozen none walks it during the command or at exit
+    # is built, and once frozen none walks it during the command
     gc.disable()
     try:
         family.FamilySpec
@@ -392,11 +393,21 @@ def main():
         code = execute(args, sys.stdout, sys.stderr)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader has gone: point stdout at the null device so that the
-        # flush at exit cannot fail again, and exit 1 as Python does on EPIPE
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        # the reader has gone: exit 1 as Python does on EPIPE, before the
+        # flush at exit can fail again
+        os._exit(1)
+    # the output is out, so the process ends without the interpreter's
+    # teardown. Registered last, this runs first among the atexit callbacks,
+    # after a wrapper such as cProfile has written its report; the pool that
+    # --jobs starts is joined before execute returns
+    atexit.register(_exit_now, code)
     sys.exit(code)
+
+
+def _exit_now(code):
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

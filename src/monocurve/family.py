@@ -376,7 +376,10 @@ def hs3_sweep(q_max, ab_max):
     sweep with no triple to check is refused rather than reported as a pass,
     and one with a semigroup over MAX_CELLS before its first triple."""
     q_max, ab_max = as_integer(q_max, "q_max"), as_integer(ab_max, "ab_max")
-    specs = (normalize((q, q + a, q + s)) for s in range(2, ab_max + 1) for a in range(1, s)
+    # a pair's threshold is s·max(a, b) with s = a + b, at least s·⌈s/2⌉,
+    # which grows with s: past q_max no larger s has a triple
+    sums = itertools.takewhile(lambda s: s * ((s + 1) // 2) <= q_max, range(2, ab_max + 1))
+    specs = (normalize((q, q + a, q + s)) for s in sums for a in range(1, s)
              if math.gcd(a, s - a) == 1 for q in range(_hs3_min_q(a, s - a), q_max + 1))
     if min(q_max, ab_max) >= 2:
         # the pair a = b = 1 has the least threshold, 2, and each pair's last

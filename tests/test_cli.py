@@ -1,4 +1,5 @@
 import argparse
+import atexit
 import concurrent.futures
 import gc
 import hashlib
@@ -7,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -622,9 +624,10 @@ def test_json_payload_matches_its_command_schema(command, monkeypatch):
 # as its last line, each step main() took with whether numpy was loaded, whether
 # the collector was on, how many collections had run and how many threads the
 # process had (None where /proc/self/task is missing) by that step, and the
-# exit code.
+# exit code. The "exit" step is main() registering its exit callback, which
+# then ends the process with the command's exit code after the print.
 _MAIN_STEPS = """
-import gc, json, os, sys
+import atexit, gc, json, os, sys, types
 from monocurve import cli
 steps, collections = [], []
 build_parser, execute = cli.build_parser, cli.execute
@@ -649,7 +652,12 @@ def recording_execute(*args):
     step("execute")
     return execute(*args)
 
+def recording_register(*args):
+    step("exit")
+    return atexit.register(*args)
+
 cli.build_parser, cli.execute = recording_parser, recording_execute
+cli.atexit = types.SimpleNamespace(register=recording_register)
 gc.freeze = lambda: step("freeze")
 gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(info))
 sys.argv[0] = "monocurve"
@@ -662,8 +670,9 @@ except SystemExit as e:
 
 def test_main_freezes_the_import_heap_before_run():
     # parse, then the engine (numpy) loads with collection off, then the
-    # freeze, then the command with collection on again; numpy's OpenBLAS,
-    # left to the caller's environment here, starts no worker thread
+    # freeze, then the command with collection on again, then the exit
+    # callback; numpy's OpenBLAS, left to the caller's environment here,
+    # starts no worker thread
     env = _src_env()
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(name, None)
@@ -671,15 +680,15 @@ def test_main_freezes_the_import_heap_before_run():
                        ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
                        ("verify theorem-a --abc 12,3,1 --n-max 3", 2)):
         done = subprocess.run([sys.executable, "-c", _MAIN_STEPS, *argv.split()],
-                              env=env, capture_output=True, text=True, check=True)
+                              env=env, capture_output=True, text=True)
         steps, exit_code = json.loads(done.stdout.splitlines()[-1])
         assert [s[:3] for s in steps] == [["parse", False, True], ["freeze", True, False],
-                                          ["execute", True, True]], argv
+                                          ["execute", True, True], ["exit", True, True]], argv
         parsed, frozen = steps[0][3], steps[1][3]
         assert frozen == parsed, f"{argv}: {frozen - parsed} collections while the engine loaded"
         for name, *_, threads in steps[1:]:
             assert threads in (1, None), f"{argv}: {threads} threads at {name}"
-        assert exit_code == code, argv
+        assert exit_code == done.returncode == code, (argv, done.stderr)
 
 
 def test_run_freezes_nothing():
@@ -697,6 +706,20 @@ def test_run_freezes_nothing():
         (gc.enable if was_enabled else gc.disable)()
     assert gc.get_freeze_count() == before
     assert dict(os.environ) == environ
+
+
+def test_run_registers_no_exit_callback_and_never_ends_the_process(monkeypatch):
+    # the pool modules register their own atexit hook when first imported
+    import concurrent.futures.process  # noqa: F401
+    calls = []
+    monkeypatch.setattr(atexit, "register", lambda *args: calls.append(("register", args)))
+    monkeypatch.setattr(os, "_exit", lambda code: calls.append(("_exit", code)))
+    for argv, code in (("betti --gens 30,32,35,40 --format json", 0),
+                       ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
+                       ("verify theorem-a --abc 12,3,1 --n-max 3", 2),
+                       ("--help", 0), ("betti", 1)):
+        assert run_cli(argv.split())[0] == code, argv
+    assert calls == []
 
 
 def _entry_point(argv):
@@ -743,3 +766,58 @@ def test_entry_point_usage_error():
     code, out, err = _entry_point(["betti"])
     assert code == 1 and out == b""
     assert "error:" in err and "elapsed_ms=" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("betti --gens 30,32,35,40 --format json", 0),
+    ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
+    ("verify theorem-a --abc 12,3,1 --n-max 3 --format csv", 2),
+])
+def test_entry_point_keeps_the_exit_code_and_output(argv, code):
+    # the process ends by os._exit in main()'s exit callback; its code and
+    # stdout are the command's, as run() gives them in process
+    expected_code, expected_out, _ = run_cli(argv.split())
+    exit_code, out, err = _entry_point(argv.split())
+    assert exit_code == expected_code == code, err
+    assert out == expected_out.encode()
+
+
+def test_entry_point_under_cprofile_prints_the_stats():
+    # cProfile writes its report when main()'s SystemExit reaches it, before
+    # the exit callback ends the process
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "monocurve.cli",
+                           "betti", "--gens", "30,32,35,40", "--format", "json"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    doc, stats = done.stdout.split("\n}\n", 1)
+    assert json.loads(doc + "}")["payload"]["totals"] == [1, 3, 3, 1, 0]
+    assert "function calls" in stats
+
+
+@pytest.mark.parametrize("argv", ["scan --abc 2,3,5 --from 22 --to 51",
+                                  "verify theorem-b --abc 2,3,5 --from 1000 --to 1019"])
+def test_entry_point_leaves_no_process_running(argv):
+    # the exit callback skips multiprocessing's exit hook, so the pool must
+    # be joined before main() returns: once the command, the leader of its
+    # own session and process group, has exited, the group is empty
+    done = subprocess.Popen([sys.executable, "-m", "monocurve.cli", *argv.split(), "--jobs", "2"],
+                            env=_src_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    assert done.wait(timeout=60) == 0
+    try:
+        os.killpg(done.pid, 0)
+    except ProcessLookupError:
+        return
+    os.killpg(done.pid, signal.SIGKILL)
+    pytest.fail(f"{argv}: a process outlived the command")
+
+
+def test_hs3_sweep_with_a_huge_ab_max_stops_at_the_last_sum_with_a_triple():
+    # no pair with a + b = s has a triple once s·⌈s/2⌉ > q_max; a sweep
+    # that walks every s up to ab_max does not end within the timeout
+    done = subprocess.run([sys.executable, "-m", "monocurve.cli", "verify", "hs3",
+                           "--q-max", "10", "--ab-max", "1000000000", "--format", "json"],
+                          env=_src_env(), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)["payload"]
+    assert (payload["checked"], payload["passed"]) == (19, True)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 import os
 from collections import Counter
 import re
@@ -474,6 +475,15 @@ def test_hs3_sweep_with_no_triple_is_refused(q_max, ab_max):
 
 def test_hs3_sweep_at_the_least_threshold_checks_one_triple():
     assert hs3_sweep(2, 2) == (1, [])
+
+
+@pytest.mark.parametrize("q_max, ab_max", [(10, 300), (60, 300), (81, 7), (200, 21)])
+def test_hs3_sweep_checks_every_triple_of_every_pair(q_max, ab_max):
+    # counted over every coprime pair up to ab_max, with no bound on a + b
+    expected = sum(max(0, q_max + 1 - max(a * b + b * b, a * b + a * a))
+                   for s in range(2, ab_max + 1) for a in range(1, s)
+                   for b in [s - a] if math.gcd(a, b) == 1)
+    assert hs3_sweep(q_max, ab_max) == (expected, [])
 
 
 def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
