@@ -366,7 +366,25 @@ def execute(args, stdout, stderr) -> int:
 
 
 def main():
-    # argparse exits on --help and usage errors before the engine loads
+    try:
+        code = _main()
+    except SystemExit as e:
+        # argparse exits on --help and usage errors before the engine loads
+        code = int(e.code or 0)
+    except BrokenPipeError:
+        # the reader has gone: exit 1 as Python does on EPIPE, before the
+        # flush at exit can fail again
+        os._exit(1)
+    # every way main() ends passes here: the output is written, so the
+    # process ends without the interpreter's teardown once the callback has
+    # flushed it. Registered last, this runs first among the atexit
+    # callbacks, after a wrapper such as cProfile has written its report;
+    # the pool that --jobs starts is joined before execute returns
+    atexit.register(_exit_now, code)
+    sys.exit(code)
+
+
+def _main():
     args = build_parser().parse_args()
     # numpy's bundled OpenBLAS starts a thread per CPU as it loads; the engine
     # never calls BLAS (its one matmul is int64), so it starts none
@@ -385,27 +403,24 @@ def main():
         try:
             import numpy  # noqa: F401
         except ImportError as e:
-            sys.exit(f"monocurve: error: the engine needs numpy: {e}")
+            print(f"monocurve: error: the engine needs numpy: {e}", file=sys.stderr)
+            return EXIT_USAGE
         raise
     finally:
         gc.enable()
-    try:
-        code = execute(args, sys.stdout, sys.stderr)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: exit 1 as Python does on EPIPE, before the
-        # flush at exit can fail again
-        os._exit(1)
-    # the output is out, so the process ends without the interpreter's
-    # teardown. Registered last, this runs first among the atexit callbacks,
-    # after a wrapper such as cProfile has written its report; the pool that
-    # --jobs starts is joined before execute returns
-    atexit.register(_exit_now, code)
-    sys.exit(code)
+    code = execute(args, sys.stdout, sys.stderr)
+    sys.stdout.flush()
+    return code
 
 
 def _exit_now(code):
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except (BrokenPipeError, AttributeError):
+        # the reader has gone before the buffered output, such as argparse's
+        # help, was flushed; cProfile sets stdout to None once its report
+        # has met the closed pipe
+        code = 1
     sys.stderr.flush()
     os._exit(code)
 

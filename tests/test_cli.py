@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -252,22 +253,26 @@ def test_bound_override_zero_is_legal():
 
 
 # Runs ``how`` in a fresh interpreter with ``sys.argv[1:]`` as the command's
-# arguments, then prints at exit whether numpy is loaded and whether
-# monocurve.betti has executed.
+# arguments, then prints, however ``how`` ends, whether numpy is loaded and
+# whether monocurve.betti has executed. The print comes from a ``finally``
+# rather than an atexit hook, since main()'s exit callback ends the process
+# before the hooks registered ahead of it run.
 _ENGINE_AT_EXIT = """
-import atexit, json, runpy, sys
+import json, runpy, sys
 def report():
     betti = sys.modules.get("monocurve.betti")
     executed = betti is not None and "graded_betti" in object.__getattribute__(betti, "__dict__")
     print(json.dumps(["numpy" in sys.modules, executed]))
-atexit.register(report)
 sys.argv[0] = "monocurve"
-{how}
+try:
+    {how}
+finally:
+    report()
 """
 
 _ENGINE_FREE = {
     "python -m": "runpy.run_module('monocurve.cli', run_name='__main__', alter_sys=True)",
-    "console script": "from monocurve.cli import main\nmain()",
+    "console script": "from monocurve.cli import main; main()",
 }
 
 
@@ -689,6 +694,13 @@ def test_main_freezes_the_import_heap_before_run():
         for name, *_, threads in steps[1:]:
             assert threads in (1, None), f"{argv}: {threads} threads at {name}"
         assert exit_code == done.returncode == code, (argv, done.stderr)
+    # --help ends inside argparse, before the engine loads, and still leaves
+    # through the exit callback
+    done = subprocess.run([sys.executable, "-c", _MAIN_STEPS, "--help"],
+                          env=env, capture_output=True, text=True)
+    steps, exit_code = json.loads(done.stdout.splitlines()[-1])
+    assert [s[:2] for s in steps] == [["exit", False]]
+    assert exit_code == done.returncode == 0, done.stderr
 
 
 def test_run_freezes_nothing():
@@ -743,12 +755,16 @@ def test_entry_point_matches_golden_render(command, fmt, extra):
 
 
 @pytest.mark.parametrize("argv", ["table --example 1 --format csv",
-                                  "betti --gens 30,32,35,40 --format json"])
+                                  "betti --gens 30,32,35,40 --format json",
+                                  "--help", "scan --help"])
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_entry_point_exits_1_quietly_on_a_closed_pipe(argv, unbuffered):
     # the read end is closed before the command starts, so its first write
     # to stdout fails with EPIPE: in execute when stdout is unbuffered, else
-    # when main() flushes the output
+    # when main() flushes the output. A buffered help text fails in the exit
+    # callback's flush, which exits 1; argparse drops a help text whose
+    # unbuffered write fails and exits 0, from Python 3.11 on (3.10 raises
+    # the error, and main() exits 1)
     env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
     env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
     read_end, write_end = os.pipe()
@@ -756,6 +772,23 @@ def test_entry_point_exits_1_quietly_on_a_closed_pipe(argv, unbuffered):
     try:
         done = subprocess.run([sys.executable, "-m", "monocurve.cli", *argv.split()],
                               env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    dropped = "--help" in argv and unbuffered and sys.version_info >= (3, 11)
+    assert done.returncode == (0 if dropped else 1), done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("argv", ["betti --gens 30,32,35,40", "--help", "betti"])
+def test_entry_point_under_cprofile_exits_1_quietly_on_a_closed_pipe(argv):
+    # cProfile's report meets the closed pipe too, after a help text or a
+    # usage error has left main(); it then sets stdout to None and exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "monocurve.cli",
+                               *argv.split()], env=_src_env(), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write_end)
     assert done.returncode == 1, done.stderr
@@ -772,26 +805,40 @@ def test_entry_point_usage_error():
     ("betti --gens 30,32,35,40 --format json", 0),
     ("verify theorem-a --abc 2,3,5 --n-max 0", 1),
     ("verify theorem-a --abc 12,3,1 --n-max 3 --format csv", 2),
+    ("--help", 0),
+    ("verify theorem-b --help", 0),
+    ("betti", 1),
+    ("nonsense", 1),
 ])
 def test_entry_point_keeps_the_exit_code_and_output(argv, code):
-    # the process ends by os._exit in main()'s exit callback; its code and
-    # stdout are the command's, as run() gives them in process
-    expected_code, expected_out, _ = run_cli(argv.split())
+    # the process ends by os._exit in main()'s exit callback, argparse's
+    # help and usage errors included; its code, stdout and stderr (but for
+    # the command's timing) are those run() gives in process
+    def untimed(err):
+        return re.sub(r"^elapsed_ms=\d+$", "elapsed_ms=", err, flags=re.M)
+
+    expected_code, expected_out, expected_err = run_cli(argv.split())
     exit_code, out, err = _entry_point(argv.split())
     assert exit_code == expected_code == code, err
     assert out == expected_out.encode()
+    assert untimed(err) == untimed(expected_err)
 
 
-def test_entry_point_under_cprofile_prints_the_stats():
+@pytest.mark.parametrize("argv, code", [
+    ("betti --gens 30,32,35,40 --format json", 0),
+    ("--help", 0),
+    ("betti", 1),
+], ids=["command", "help", "usage-error"])
+def test_entry_point_under_cprofile_prints_the_stats(argv, code):
     # cProfile writes its report when main()'s SystemExit reaches it, before
-    # the exit callback ends the process
+    # the exit callback ends the process with main()'s code, argparse's too
     done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "monocurve.cli",
-                           "betti", "--gens", "30,32,35,40", "--format", "json"],
-                          env=_src_env(), capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    doc, stats = done.stdout.split("\n}\n", 1)
-    assert json.loads(doc + "}")["payload"]["totals"] == [1, 3, 3, 1, 0]
-    assert "function calls" in stats
+                           *argv.split()], env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert "function calls" in done.stdout
+    if "--format json" in argv:
+        doc, _ = done.stdout.split("\n}\n", 1)
+        assert json.loads(doc + "}")["payload"]["totals"] == [1, 3, 3, 1, 0]
 
 
 @pytest.mark.parametrize("argv", ["scan --abc 2,3,5 --from 22 --to 51",
