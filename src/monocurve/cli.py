@@ -389,23 +389,18 @@ def _main():
     # numpy's bundled OpenBLAS starts a thread per CPU as it loads; the engine
     # never calls BLAS (its one matmul is int64), so it starts none
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    # one attribute read executes the engine's modules, numpy included; that
-    # heap lives as long as the process, so no collection walks it while it
-    # is built, and once frozen none walks it during the command
+    # numpy by name first, so that its own error names it, then the engine;
+    # that heap lives as long as the process, so no collection walks it while
+    # it is built, and once frozen none walks it during the command
     gc.disable()
     try:
+        import numpy  # noqa: F401
+    except ImportError as e:
+        print(f"monocurve: error: the engine needs numpy: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    else:
         family.FamilySpec
         gc.freeze()
-    except ImportError:
-        # Pythons before 3.13 drop the error of a failed import inside a lazy
-        # module and report a from-import of an engine module instead, so the
-        # engine's one dependency is imported by name to find the cause
-        try:
-            import numpy  # noqa: F401
-        except ImportError as e:
-            print(f"monocurve: error: the engine needs numpy: {e}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
     finally:
         gc.enable()
     code = execute(args, sys.stdout, sys.stderr)

@@ -300,6 +300,28 @@ def test_an_engine_command_without_numpy_names_numpy(path):
                            "import of numpy halted; None in sys.modules\n")
 
 
+@pytest.mark.parametrize("path", sorted(_ENGINE_FREE))
+def test_an_engine_import_error_with_numpy_present_keeps_its_traceback(path):
+    # a stand-in monocurve.errors without OutOfRangeError makes an engine
+    # module's from-import fail while numpy imports fine; Pythons before 3.13
+    # report that failure as the from-import of an engine module in family
+    script = ("import runpy, sys, types\n"
+              "sys.argv[0] = 'monocurve'\n"
+              "import monocurve.errors\n"
+              "errors = types.ModuleType('monocurve.errors')\n"
+              "vars(errors).update(vars(monocurve.errors))\n"
+              "del errors.OutOfRangeError\n"
+              "sys.modules['monocurve.errors'] = errors\n")
+    done = subprocess.run([sys.executable, "-c", script + _ENGINE_FREE[path],
+                           "betti", "--gens", "3,5"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("Traceback (most recent call last):\n"), done.stderr
+    assert re.fullmatch(r"ImportError: cannot import name '\w+' from 'monocurve\.\w+' .*",
+                        done.stderr.splitlines()[-1]), done.stderr
+    assert "the engine needs numpy" not in done.stderr
+
+
 def test_bare_package_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", _ENGINE_AT_EXIT.format(how="import monocurve")],
                           env=_src_env(), capture_output=True, text=True, check=True)
