@@ -40,12 +40,13 @@ tables are built together as one array with an offset each
 (:func:`~monocurve.semigroup.apery_run`), and each member's membership
 table views its part; the candidates carry their semigroup's index in the
 int64 sort key index * span + degree; membership is tested a block of rows
-at a time over the whole batch, each row's face bits padded to whole bytes
-so that one flat ``np.packbits`` packs the block; the face words are
-deduplicated once for the batch and each distinct complex is ranked and
-cross-checked once. Each semigroup caches its table and, as its patterns,
-views of the batch's degree and complex-index arrays with the batch's faces;
-the per-table checks run on every table. A batch of one is the same code.
+at a time over the whole batch, with no modulo per (degree, face) cell, each
+row's face bits padded to whole bytes so that one flat ``np.packbits`` packs
+the block; the face words are deduplicated once for the batch and each
+distinct complex is ranked and cross-checked once. Each semigroup caches its
+table and, as its patterns, views of the batch's degree and complex-index
+arrays with the batch's faces; the per-table checks run on every table. A
+batch of one is the same code, for every n <= 8.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import semigroup
 from .errors import InvalidInputError, MonocurveError
 from .semigroup import SemigroupSpec, apery_run, as_integer, check_size, frobenius
 
@@ -234,9 +236,9 @@ def batches(specs):
     of a pass small; before its sort keys could reach 2**62: a semigroup's
     candidates lie below a1 * 2**(n-1) * an (an Apéry element is a sum of at
     most a1 - 1 generators), and a key is index * span + degree; and before
-    its Apéry cells (the sum of its a1) times its largest generator could
-    reach 2**61, the bound that :func:`~monocurve.semigroup.check_size` puts
-    on the run's one Apéry build.
+    its Apéry cells (the sum of its a1) would pass ``MAX_CELLS``, or times
+    its largest generator reach 2**61: the bounds that
+    :func:`~monocurve.semigroup.check_size` puts on the run's one Apéry build.
     """
     run, cells, reach, top = [], 0, 0, 0
     for S in specs:
@@ -245,8 +247,9 @@ def batches(specs):
         c = _candidate_cells(S)
         an = S.generators[-1]
         r, t = max(reach, c * an), max(top, an)
+        apery_cells = (cells + c) >> (S.n - 1)
         if run and (cells + c > _CHUNK_CELLS or (len(run) + 1) * r >= 1 << 62
-                    or ((cells + c) >> (S.n - 1)) * t >= 1 << 61):
+                    or apery_cells > semigroup.MAX_CELLS or apery_cells * t >= 1 << 61):
             yield run
             run, cells, r, t = [], 0, c * an, an
         run.append(S)
@@ -284,11 +287,17 @@ def _pattern_pass(specs):
     degree's complex; for n <= 6 a complex is one word, ranked by one sort.
     The batch's Apéry tables come from one build for the run, which gives
     each member without one its membership table (ap view, modulus,
-    Frobenius number). A degree's face bits fill a row of max(2**n, 8)
-    bools, faces past 2**n staying 0, so a block of rows packs with one
-    flat ``np.packbits`` into whole bytes per row. Each semigroup's
-    "patterns" entry is its views ``degrees[lo:hi]`` and ``inverse[lo:hi]``
-    with the batch's ``faces``; :func:`degree_patterns` compacts it.
+    Frobenius number). m - a_F is in S iff m >= Ap[c] + a_F, where the
+    class c is (m mod a1) - (a_F mod a1), plus a1 when that is negative:
+    each degree's residue is taken once and each member's face residues
+    once, so no modulo runs per (degree, face) cell, and a block gathers its
+    members' face residues and sums a face row at a time. A degree's face
+    bits fill a row of max(2**n, 8) bools, faces past 2**n staying 0, so a
+    block of rows packs with one flat ``np.packbits`` into whole bytes per
+    row, and a row of up to 64 bits is one word as wide as the row. Each
+    semigroup's "patterns" entry is its views ``degrees[lo:hi]`` and
+    ``inverse[lo:hi]`` with the batch's ``faces``; :func:`degree_patterns`
+    compacts it.
     """
     n = specs[0].n
     nfaces = 1 << n
@@ -305,36 +314,51 @@ def _pattern_pass(specs):
     keys.sort()
     keys = _distinct(keys)
     owner = keys // span
-    degrees = keys - owner * span
+    # in place: the degrees take the keys' memory
+    keys -= owner * span
+    degrees = keys
 
     # degrees are tested a block of rows at a time, all faces together; F and
-    # F ∪ {1} share a residue mod a1, so one Apéry lookup decides both
-    nwords = (nfaces + 63) // 64
-    packed = np.zeros((len(degrees), 8 * nwords), dtype=np.uint8)
+    # F ∪ {1} share a residue mod a1, so one Apéry lookup decides both. Row f
+    # of ``lifts`` and ``residues`` holds each member's sum a_F of even face f
+    # and its residue, so a block gathers whole face rows
+    lifts = sums[:, 0::2].T.copy()
+    residues = lifts % moduli
     step = max(1, _BLOCK_CELLS >> n)
     # whole bytes per row, the bits past face 2**n staying 0
     width = max(nfaces, 8)
+    packed = np.zeros((len(degrees), width // 8), dtype=np.uint8)
     member = np.zeros((step, width), dtype=bool)
     for lo in range(0, len(degrees), step):
         rows = owner[lo:lo + step]
-        x = degrees[lo:lo + step, None] - sums[rows, 0::2]
-        least = ap[base[rows, None] + x % moduli[rows, None]]
+        q, m = moduli.take(rows), degrees[lo:lo + step]
+        r = m % q
+        at = residues.take(rows, axis=1)
+        wrap = r < at
+        np.subtract(base.take(rows) + r, at, out=at)
+        np.add(at, q, out=at, where=wrap)
+        least = ap.take(at)
+        least += lifts.take(rows, axis=1)
+        # face-major results, written through transposed views of the rows
         part = member[:len(rows)]
-        np.greater_equal(x, least, out=part[:, 0:nfaces:2])
-        np.greater_equal(x, least + moduli[rows, None], out=part[:, 1:nfaces:2])
-        packed[lo:lo + step, :width // 8] = np.packbits(
+        np.greater_equal(m, least, out=part[:, 0:nfaces:2].T)
+        np.greater_equal(m - q, least, out=part[:, 1:nfaces:2].T)
+        packed[lo:lo + step] = np.packbits(
             part.ravel(), bitorder="little").reshape(len(rows), width // 8)
     # rank the first word, then fold each later word's rank in above the
     # ranks so far (pair keys stay below len(degrees)**2); ``words``, the
     # distinct rows so far, and ``inverse`` stay ordered as face-set integers
-    columns = packed.view("<u8").T
+    columns = packed.view(f"<u{min(width // 8, 8)}").T
     words, inverse = _ranked(columns[0])
     words = words[:, None]
     for column in columns[1:]:
         ordered, rank = _ranked(column)
         pairs, inverse = _ranked(rank * len(words) + inverse)
         words = np.column_stack((words[pairs % len(words)], ordered[pairs // len(words)]))
-    faces = [sum(w << (64 * i) for i, w in enumerate(row)) for row in words.tolist()]
+    # face-set integers, folded in from the top word down
+    faces = words[:, -1].tolist()
+    for column in words.T[-2::-1].tolist():
+        faces = [f << 64 | w for f, w in zip(faces, column)]
 
     starts = np.searchsorted(owner, np.arange(len(specs) + 1)).tolist()
     for S, lo, hi in zip(specs, starts, starts[1:]):
@@ -400,18 +424,24 @@ def _table_pass(specs, owner, degrees, faces, inverse):
     for i, m, u in zip(owner[hit].tolist(), degrees[hit].tolist(), inverse[hit].tolist()):
         rows[i][m] = ranks_by_u[u]
 
+    zero = (0,) * (n + 1)
     for S, r in zip(specs, rows):
-        t = _totals(n, r)
-        where = f"generators {S.generators}: "
-        if t[0] != 1 or r.get(0, (0,))[0] != 1:
-            raise MonocurveError(where + "degree-0 Betti number must be exactly 1")
-        if any(b[0] for m, b in r.items() if m != 0):
-            raise MonocurveError(where + "beta_0 supported away from degree 0")
-        if sum((-1) ** i * b for i, b in enumerate(t)) != 0:
-            raise MonocurveError(where + "alternating sum of Betti totals is nonzero")
-        if t[n] != 0:
-            raise MonocurveError(where + "projective dimension exceeds n-1")
-        S._cache["table"] = GradedBettiTable(rows=r, totals=t)
+        # column i is beta_i over the rows, after a leading 0
+        columns = list(zip(zero, *r.values()))
+        t = tuple(map(sum, columns))
+        if t[0] != 1 or r.get(0, zero)[0] != 1:
+            check = "degree-0 Betti number must be exactly 1"
+        elif columns[0].count(0) != len(r):
+            # beta_0 is 1 at degree 0, so every other entry of the column is 0
+            check = "beta_0 supported away from degree 0"
+        elif sum(t[0::2]) != sum(t[1::2]):
+            check = "alternating sum of Betti totals is nonzero"
+        elif t[n]:
+            check = "projective dimension exceeds n-1"
+        else:
+            S._cache["table"] = GradedBettiTable(r, t)
+            continue
+        raise MonocurveError(f"generators {S.generators}: {check}")
 
 
 def evaluate_run(run) -> list[GradedBettiTable]:

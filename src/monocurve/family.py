@@ -146,8 +146,9 @@ def _check_cells(where, raws):
     """Refuse a check, named with its range or bound by ``where``, when the
     semigroup of any raw tuple in ``raws`` has more candidate cells
     (a1 * 2**(n-1)) than MAX_CELLS. The pass refuses such a semigroup only as
-    its run forms, after every row before it."""
-    cells = max(S.generators[0] << (S.n - 1) for S in map(normalize, raws))
+    its run forms, after every row before it. The cells are read off the raw
+    tuple: dividing out the gcd keeps its entries distinct."""
+    cells = max((min(raw) // math.gcd(*raw)) << (len(set(raw)) - 1) for raw in raws)
     if cells > semigroup.MAX_CELLS:
         raise OutOfRangeError(f"{where} reaches a semigroup of {cells:,} candidate cells, "
                               f"above the cap of {semigroup.MAX_CELLS:,}")
@@ -340,6 +341,12 @@ def ci_check_3gen(q, a, b) -> bool:
     if q < _hs3_min_q(a, b):
         raise OutOfRangeError(
             f"q={q} below max(ab+b^2, ab+a^2); the criterion makes no claim")
+    return _hs3_checked(q, a, b)
+
+
+def _hs3_checked(q, a, b):
+    """The criterion of :func:`ci_check_3gen` for input it accepts, checked
+    against its coprime special case."""
     result = _hs3_criterion(q, a, b)
     if math.gcd(a, b) == 1 and result != (q % (a + b) == 0):
         raise MonocurveError(
@@ -390,7 +397,8 @@ def hs3_sweep(q_max, ab_max):
         q, qa, qab = S.generators
         a, b = qa - q, qab - qa
         checked += 1
-        lemma = ci_check_3gen(q, a, b)
+        # every triple is coprime and at or above its threshold
+        lemma = _hs3_checked(q, a, b)
         if lemma != table.ci:
             bad.append({"q": q, "a": a, "b": b, "lemma_ci": lemma, "mu": table.mu})
     if not checked:

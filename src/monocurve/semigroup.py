@@ -280,18 +280,24 @@ class SemigroupSpec:
     __slots__ = ("generators", "content", "_cache")
 
     def __init__(self, raw):
-        raw = tuple(as_integer(a, "generator") for a in raw)
-        where = f"generators {raw}: "
+        raw = tuple(raw)
+        try:
+            raw = tuple(map(operator.index, raw))
+        except TypeError:
+            # name the first entry that is not an integer
+            raw = tuple(as_integer(a, "generator") for a in raw)
         if len(raw) < 2:
-            raise InvalidInputError(where + "need at least 2 generators")
-        if any(a <= 0 for a in raw):
-            raise InvalidInputError(where + "generators must be positive integers")
+            raise InvalidInputError(f"generators {raw}: need at least 2 generators")
+        if min(raw) <= 0:
+            raise InvalidInputError(f"generators {raw}: generators must be positive integers")
         d = math.gcd(*raw)
         kept = sorted({a // d for a in raw})
         if len(kept) < 2:
-            raise InvalidInputError(where + "fewer than 2 distinct generators after normalization")
+            raise InvalidInputError(
+                f"generators {raw}: fewer than 2 distinct generators after normalization")
         if len(kept) > MAX_GENERATORS:
-            raise InvalidInputError(where + f"more than {MAX_GENERATORS} distinct generators")
+            raise InvalidInputError(
+                f"generators {raw}: more than {MAX_GENERATORS} distinct generators")
         self.generators = tuple(kept)
         self.content = d
         self._cache = {}

@@ -6,6 +6,7 @@ import tracemalloc
 from unittest import mock
 
 import networkx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -361,6 +362,57 @@ def test_pass_gives_each_degree_its_complex(raws):
     assert all(a < b for a, b in zip(faces, faces[1:]))
     for i, m, u in zip(owner.tolist(), degrees.tolist(), inverse.tolist()):
         assert faces[u] == _faceset(divisor_complex(specs[i], m).faces), (raws[i], m)
+
+
+@st.composite
+def _mixed_runs(draw):
+    """2-6 raw generator lists with one n in 2..8, each led by a generator up
+    to 200 that its gcd may divide: the members' moduli differ."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    raws = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        lead = draw(st.integers(min_value=2, max_value=200))
+        raws.append([lead] + draw(st.lists(st.integers(min_value=lead + 1, max_value=lead + 90),
+                                           min_size=n - 1, max_size=n - 1, unique=True)))
+    return raws
+
+
+@given(_mixed_runs())
+# an hs3 run ⟨q, q+a, q+a+b⟩ over consecutive q
+@example([[q, q + 2, q + 5] for q in range(30, 36)])
+# two theorem-B rows of (1,5,6), a1 >= 1,024
+@example([[1736, 1737, 1742, 1748], [1737, 1738, 1743, 1749]])
+@settings(max_examples=30, deadline=None)
+def test_pass_wraps_each_face_class_as_one_batch_per_member(raws):
+    # the class of m - a_F is m's residue less F's, wrapped by a1 when that is
+    # negative, as it is in every face column with a nonzero residue (degree 0
+    # at least); the run's four outputs are those of one batch per member
+    specs = [normalize(r) for r in raws]
+    owner, degrees, faces, inverse = betti._pattern_pass(specs)
+    alone = [betti._pattern_pass([normalize(r)]) for r in raws]
+    assert owner.tolist() == [i for i, (_, d, _, _) in enumerate(alone) for _ in d]
+    assert degrees.tolist() == [m for _, d, _, _ in alone for m in d.tolist()]
+    assert faces == sorted({u for _, _, f, _ in alone for u in f})
+    assert [faces[u] for u in inverse.tolist()] == [f[u] for _, _, f, inv in alone
+                                                    for u in inv.tolist()]
+    # each degree against the oracle's complex, a sample of them past 24
+    rng = random.Random(0)
+    starts = np.searchsorted(owner, np.arange(len(specs) + 1)).tolist()
+    for S, raw, lo, hi in zip(specs, raws, starts, starts[1:]):
+        picks = range(lo, hi) if hi - lo <= 24 else rng.sample(range(lo, hi), 24)
+        for k in picks:
+            m = int(degrees[k])
+            assert faces[inverse[k]] == _faceset(divisor_complex(S, m).faces), (raw, m)
+
+
+def test_runs_close_before_their_apery_cells_pass_the_cap(monkeypatch):
+    # each member's 100 candidate cells are within the cap, but three a1 of
+    # 50 are not: the run closes before them, where the run's one Apéry build
+    # used to refuse it whole
+    monkeypatch.setattr(semigroup, "MAX_CELLS", 100)
+    raws = [(50, 51), (50, 53), (50, 57)]
+    assert [len(run) for run in batches(map(normalize, raws))] == [2, 1]
+    assert betti_tables(map(normalize, raws)) == [graded_betti(normalize(r)) for r in raws]
 
 
 @given(st.sets(st.integers(min_value=2, max_value=45), min_size=2, max_size=4))
