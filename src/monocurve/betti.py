@@ -43,10 +43,10 @@ int64 sort key index * span + degree; membership is tested a block of rows
 at a time over the whole batch, with no modulo per (degree, face) cell, each
 row's face bits padded to whole bytes so that one flat ``np.packbits`` packs
 the block; the face words are deduplicated once for the batch and each
-distinct complex is ranked and cross-checked once. Each semigroup caches its
-table and, as its patterns, views of the batch's degree and complex-index
-arrays with the batch's faces; the per-table checks run on every table. A
-batch of one is the same code, for every n <= 8.
+distinct complex is ranked and cross-checked once. Each semigroup caches, as
+its patterns, views of the batch's degree and complex-index arrays with the
+batch's faces; its table goes to the caller, and the per-table checks run on
+every table. A batch of one is the same code, for every n <= 8.
 """
 
 from __future__ import annotations
@@ -212,12 +212,10 @@ def _skeleton_components(nvars, faceset) -> tuple[int, ...]:
 
 
 def _candidate_cells(S: SemigroupSpec):
-    """a1 * 2**(n-1), checked against ``MAX_CELLS`` once per semigroup."""
-    if "cells" not in S._cache:
-        cells = S.generators[0] << (S.n - 1)
-        check_size(S.generators, cells, "candidate degrees")
-        S._cache["cells"] = cells
-    return S._cache["cells"]
+    """a1 * 2**(n-1), checked against ``MAX_CELLS``."""
+    cells = S.generators[0] << (S.n - 1)
+    check_size(S.generators, cells, "candidate degrees")
+    return cells
 
 
 def default_bound(S: SemigroupSpec) -> int:
@@ -402,8 +400,8 @@ def _totals(n, rows):
     return tuple(map(sum, zip((0,) * (n + 1), *rows.values())))
 
 
-def _table_pass(specs, owner, degrees, faces, inverse):
-    """Tables from one pass's patterns, each checked and cached on its semigroup as "table"."""
+def _table_pass(specs, owner, degrees, faces, inverse) -> list[GradedBettiTable]:
+    """The full table of each of ``specs``, in order, from one pass's patterns, each checked."""
     n = specs[0].n
     ranks_by_u = []
     for index, u in enumerate(faces):
@@ -425,6 +423,7 @@ def _table_pass(specs, owner, degrees, faces, inverse):
         rows[i][m] = ranks_by_u[u]
 
     zero = (0,) * (n + 1)
+    tables = []
     for S, r in zip(specs, rows):
         # column i is beta_i over the rows, after a leading 0
         columns = list(zip(zero, *r.values()))
@@ -439,26 +438,18 @@ def _table_pass(specs, owner, degrees, faces, inverse):
         elif t[n]:
             check = "projective dimension exceeds n-1"
         else:
-            S._cache["table"] = GradedBettiTable(r, t)
+            tables.append(GradedBettiTable(r, t))
             continue
         raise MonocurveError(f"generators {S.generators}: {check}")
-
-
-def evaluate_run(run) -> list[GradedBettiTable]:
-    """The full table of each member of a run of :func:`batches`, in order: the
-    members without a cached table go through one pattern pass and one table
-    pass together, which cache their patterns and tables."""
-    fresh = [S for S in run if "table" not in S._cache]
-    if fresh:
-        _table_pass(fresh, *_pattern_pass(fresh))
-    return [S._cache["table"] for S in run]
+    return tables
 
 
 def tabled(specs):
     """(semigroup, full Betti table) for each of ``specs`` in order: each run of
-    :func:`batches` is evaluated as it forms, so only one run is alive at a time."""
+    :func:`batches` goes through one pattern pass and one table pass as it
+    forms, so only one run is alive at a time."""
     for run in batches(specs):
-        yield from zip(run, evaluate_run(run))
+        yield from zip(run, _table_pass(run, *_pattern_pass(run)))
 
 
 def betti_tables(specs) -> list[GradedBettiTable]:

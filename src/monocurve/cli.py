@@ -42,6 +42,14 @@ def _lazy(name):
 
 semigroup, betti, binomials, family = map(_lazy, ("semigroup", "betti", "binomials", "family"))
 
+
+def _load_engine():
+    """Execute the engine's modules in dependency order, so that an import
+    error names its own import rather than a later module's from-import."""
+    for module in (semigroup, betti, binomials, family):
+        module.__name__
+
+
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -338,7 +346,7 @@ def execute(args, stdout, stderr) -> int:
     if command == "verify":
         command += f" {args.verify_kind}"
 
-    family.FamilySpec  # the engine's modules load before the clock starts
+    _load_engine()  # before the clock starts
     start = time.perf_counter()
     try:
         code, payload, pretty, header, rows = _DISPATCH[command](args)
@@ -399,7 +407,7 @@ def _main():
         print(f"monocurve: error: the engine needs numpy: {e}", file=sys.stderr)
         return EXIT_USAGE
     else:
-        family.FamilySpec
+        _load_engine()
         gc.freeze()
     finally:
         gc.enable()

@@ -144,14 +144,20 @@ def _check_rows(where, rows):
 
 def _check_cells(where, raws):
     """Refuse a check, named with its range or bound by ``where``, when the
-    semigroup of any raw tuple in ``raws`` has more candidate cells
-    (a1 * 2**(n-1)) than MAX_CELLS. The pass refuses such a semigroup only as
-    its run forms, after every row before it. The cells are read off the raw
-    tuple: dividing out the gcd keeps its entries distinct."""
-    cells = max((min(raw) // math.gcd(*raw)) << (len(set(raw)) - 1) for raw in raws)
+    semigroup of any raw tuple in ``raws`` fails either bound that
+    :func:`~monocurve.semigroup.check_size` puts on its candidate cells
+    (a1 * 2**(n-1)). The pass refuses such a semigroup only as its run forms,
+    after every row before it. The cells are read off the raw tuple:
+    dividing out the gcd keeps its entries distinct."""
+    sizes = [((min(raw) // d) << (len(set(raw)) - 1), max(raw) // d)
+             for raw in raws for d in [math.gcd(*raw)]]
+    cells = max(c for c, _ in sizes)
     if cells > semigroup.MAX_CELLS:
         raise OutOfRangeError(f"{where} reaches a semigroup of {cells:,} candidate cells, "
                               f"above the cap of {semigroup.MAX_CELLS:,}")
+    if max(c * top for c, top in sizes) >= 1 << 61:
+        raise OutOfRangeError(f"{where} reaches a semigroup whose candidate degrees "
+                              "would exceed 64-bit integers")
 
 
 def _walk(where, rows_of, tasks, raws, jobs=1):
@@ -257,21 +263,14 @@ def _minimal(generators):
 
 def _member(m, generators):
     """Whether m >= 0 is in ⟨generators⟩ (sorted, positive), from arithmetic
-    alone. With the gcd divided out, one generator is 1, and two coprime
-    x < y hold m iff m >= y*(m*y⁻¹ mod x), the least multiple of y
-    congruent to m mod x. More hold m iff the least sum of the others in
-    m's class mod the least generator q is at most m: Dijkstra over the
-    classes mod q (Nijenhuis's view of the Apéry set), settling only the
-    sums up to m, a handful in a theorem row."""
+    alone. With the gcd divided out, they hold m iff the least sum of the
+    others in m's class mod the least generator q is at most m: Dijkstra
+    over the classes mod q (Nijenhuis's view of the Apéry set), settling
+    only the sums up to m, a handful in a theorem row."""
     d = math.gcd(*generators)
     if m % d:
         return False
     m, generators = m // d, [a // d for a in generators]
-    if len(generators) == 1:
-        return True
-    if len(generators) == 2:
-        x, y = generators
-        return m >= y * (m * pow(y, -1, x) % x)
     import heapq  # only here, so that betti, gens and critical never load it
     q, *others = generators
     least, heap = {0: 0}, [(0, 0)]
@@ -450,11 +449,11 @@ class TheoremBRow(NamedTuple):
 
 
 def _tb_rows(F: FamilySpec, js) -> list[TheoremBRow]:
-    # j leads; is_complete_intersection finds the batch's tables cached
+    # j leads; each row's verdict is its walked table's, gluing-checked
     specs = (normalize(F.shifted(j)) for j in js)
-    return [TheoremBRow(j=j, generators=S.generators, ci=is_complete_intersection(S),
+    return [TheoremBRow(j=j, generators=S.generators, ci=_checked_table(S, table).ci,
                         divisible=j % F.period == 0)
-            for j, (S, _) in zip(js, tabled(specs))]
+            for j, (S, table) in zip(js, tabled(specs))]
 
 
 def verify_theorem_b(F: FamilySpec, j_min, j_max, jobs=1) -> TheoremReport:

@@ -233,7 +233,7 @@ def test_negative_bound_is_refused_and_zero_is_legal():
         with pytest.raises(InvalidInputError, match=r"generators \(3, 5\): bound -\d+ is negative"):
             call()
     # the bound is read before any pass
-    assert "table" not in S._cache and "patterns" not in S._cache
+    assert "patterns" not in S._cache
     assert graded_betti(S, bound=0) == GradedBettiTable(rows={0: (1, 0, 0)}, totals=(1, 0, 0))
     assert minimal_generators(S, bound=0) == ([], 0)
     assert degree_patterns(S, 0)[0].tolist() == [0]
@@ -547,8 +547,8 @@ def test_patterns_decomposed_once_per_semigroup(monkeypatch):
     assert skeleton_mu(S) == 6
     assert passes == [1]
     # theorem-b rows of (1,1,2) from its threshold 64 have 512 to 552
-    # candidate cells each: one pass covers all 6 rows, and each row's
-    # is_complete_intersection finds its patterns and table cached
+    # candidate cells each: one pass covers all 6 rows, and each row takes
+    # its table from the walk
     passes.clear()
     assert len(verify_theorem_b(FamilySpec(1, 1, 2), 64, 69).rows) == 6
     assert passes == [6]
@@ -559,30 +559,20 @@ def test_patterns_decomposed_once_per_semigroup(monkeypatch):
 
 
 @pytest.mark.parametrize("bound", [None, 40])
-def test_partly_cached_batch_passes_only_its_uncached_members(monkeypatch, bound):
+def test_partly_cached_batch_tables_equal_batch_of_one_tables(bound):
     raws = [(23, 25, 28, 33), (30, 32, 35, 40), (5, 7, 9, 11), (12, 13, 17, 19)]
     singles = [normalize(r) for r in raws]
     alone = [graded_betti(S) for S in singles]
     batch = [normalize(r) for r in raws]
     assert len(list(batches(batch))) == 1
-    graded_betti(batch[0], bound)  # tabled in full, whatever the bound
-    # patterns only: passed again with the members that have no table, to the same table
+    # two members have their patterns and membership tables cached first
+    graded_betti(batch[0], bound)
     minimal_generators(batch[2], bound)
-    passes = []
-    original = betti._pattern_pass
-
-    def counted(specs):
-        passes.append([S.generators for S in specs])
-        return original(specs)
-
-    monkeypatch.setattr(betti, "_pattern_pass", counted)
     assert betti_tables(batch) == alone
-    assert passes == [[raws[1], raws[2], raws[3]]]
     for S, single in zip(batch, singles):
         b = default_bound(S) if bound is None else bound
         assert graded_betti(S, b) == graded_betti(single, b), S
         assert _patterns(S, b) == _patterns(single, b), S
-    assert len(passes) == 1
 
 
 def test_errors_name_generators_degree_and_check(monkeypatch):

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import jsonschema
 import pytest
 from importlib.resources import files
 
-from monocurve import cli, family
+from monocurve import betti, cli, family
 from monocurve.family import worker_count
 
 
@@ -302,9 +303,9 @@ def test_an_engine_command_without_numpy_names_numpy(path):
 
 @pytest.mark.parametrize("path", sorted(_ENGINE_FREE))
 def test_an_engine_import_error_with_numpy_present_keeps_its_traceback(path):
-    # a stand-in monocurve.errors without OutOfRangeError makes an engine
-    # module's from-import fail while numpy imports fine; Pythons before 3.13
-    # report that failure as the from-import of an engine module in family
+    # a stand-in monocurve.errors without OutOfRangeError makes semigroup's
+    # from-import fail while numpy imports fine; the engine loads in
+    # dependency order, so that from-import is the one named
     script = ("import runpy, sys, types\n"
               "sys.argv[0] = 'monocurve'\n"
               "import monocurve.errors\n"
@@ -317,9 +318,29 @@ def test_an_engine_import_error_with_numpy_present_keeps_its_traceback(path):
                           env=_src_env(), capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr.startswith("Traceback (most recent call last):\n"), done.stderr
-    assert re.fullmatch(r"ImportError: cannot import name '\w+' from 'monocurve\.\w+' .*",
-                        done.stderr.splitlines()[-1]), done.stderr
+    assert re.fullmatch(r"ImportError: cannot import name 'OutOfRangeError' "
+                        r"from 'monocurve\.errors' .*", done.stderr.splitlines()[-1]), done.stderr
     assert "the engine needs numpy" not in done.stderr
+
+
+@pytest.mark.parametrize("module", ["semigroup", "betti", "binomials", "family"])
+def test_an_engine_import_error_names_its_own_import(tmp_path, module):
+    # a copy of the package whose ``module`` imports a name errors lacks;
+    # before Python 3.13, a module that failed as a later module's
+    # from-import executed it was reported as that from-import's name
+    shutil.copytree(Path(cli.__file__).parent, tmp_path / "monocurve",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "monocurve" / f"{module}.py"
+    text = path.read_text()
+    head = "from __future__ import annotations\n"
+    assert head in text
+    path.write_text(text.replace(head, head + "from .errors import NoSuchName\n", 1))
+    done = subprocess.run([sys.executable, "-m", "monocurve.cli", "betti", "--gens", "3,5"],
+                          env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.splitlines()[-1].startswith(
+        "ImportError: cannot import name 'NoSuchName' from 'monocurve.errors' "), done.stderr
 
 
 def test_bare_package_import_loads_no_numpy():
@@ -511,19 +532,27 @@ def test_table_example_choices_follow_the_examples(monkeypatch):
         1, "", "monocurve: error: unknown example 5: the examples are 1, 2, 3, 4\n")
 
 
-def test_theorem_b_rows_call_is_complete_intersection_through_family(monkeypatch):
-    calls = []
-    original = family.is_complete_intersection
+def test_theorem_b_rows_are_tabled_once_and_gluing_checked_once(monkeypatch):
+    passes, checked = [], []
+    original_pass, original_check = betti._pattern_pass, family._checked_table
 
-    def counted(S):
-        calls.append(S.generators)
-        return original(S)
+    def counted_pass(specs):
+        passes.append(len(specs))
+        return original_pass(specs)
 
-    monkeypatch.setattr(family, "is_complete_intersection", counted)
+    def counted_check(S, table):
+        checked.append(list(S.generators))
+        return original_check(S, table)
+
+    monkeypatch.setattr(betti, "_pattern_pass", counted_pass)
+    monkeypatch.setattr(family, "_checked_table", counted_check)
     code, out, _ = run_cli(["verify", "theorem-b", "--abc", "2,3,5", "--from", "1000",
                             "--to", "1005", "--format", "json", "--jobs", "1"])
     assert code == 0
-    assert len(calls) == len(json.loads(out)["payload"]["rows"]) == 6
+    rows = json.loads(out)["payload"]["rows"]
+    # 8,000 to 8,040 candidate cells a row: runs of two, one pass each
+    assert passes == [2, 2, 2]
+    assert checked == [r["generators"] for r in rows] and len(rows) == 6
 
 
 def test_bound_override():

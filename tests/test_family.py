@@ -414,6 +414,11 @@ _CELL_CAP_CASES = {
     "hs3": (lambda: hs3_sweep(1100, 2), lambda: hs3_sweep(1101, 2), 4400,
             "hs3 sweep: q_max=1101, ab_max=2 reaches a semigroup of 4,404 candidate cells, "
             "above the cap of 4,400"),
+    # under the cap, but from j = 255 on a1 * 2**3 * a4 reaches 2**61
+    "scan-64-bit": (lambda: scan(FamilySpec(1, 1, 2**50), 250, 254),
+                    lambda: scan(FamilySpec(1, 1, 2**50), 250, 260), 1 << 22,
+                    "family (1, 1, 1125899906842624): j=250..260 reaches a semigroup whose "
+                    "candidate degrees would exceed 64-bit integers"),
 }
 
 
@@ -492,10 +497,10 @@ def test_hs3_sweep_memory_before_its_first_batch_is_flat_in_q_max(monkeypatch):
     class FirstBatch(Exception):
         pass
 
-    def stop(run):
-        raise FirstBatch(len(run))
+    def stop(specs):
+        raise FirstBatch(len(specs))
 
-    monkeypatch.setattr(betti, "evaluate_run", stop)
+    monkeypatch.setattr(betti, "_pattern_pass", stop)
     peaks = []
     for q_max in (1000, 4000):
         tracemalloc.start()
@@ -529,9 +534,9 @@ def test_hs3_sweep_builds_one_apery_array_per_run(monkeypatch):
 
 
 def test_a_sweep_checks_each_semigroup_once(monkeypatch):
-    # a semigroup is checked against MAX_CELLS as it joins its run; the
-    # batch's pass, and is_complete_intersection's table, bound and patterns
-    # after it, find it checked
+    # a semigroup is checked against MAX_CELLS as it joins its run, and
+    # nothing after that checks it again: theorem B's rows take their tables
+    # from the walk
     checks = Counter()
     original = betti.check_size
 
@@ -575,14 +580,12 @@ def test_refusals_name_their_input(case):
 
 
 def test_theorem_rows_build_no_sub_semigroup_table(monkeypatch):
-    # each run's tables come from one Apéry build; the gluing test needs no
-    # table, no minimal generators and no canonical factorization, and
-    # theorem A's case-i check reads the cached patterns. A run whose members
-    # are all tabled, as theorem B's is_complete_intersection reads its row's
-    # table, builds nothing and is not counted
+    # each run's tables come from one Apéry build and one pattern pass; the
+    # gluing test needs no table, no minimal generators and no canonical
+    # factorization, and theorem A's case-i check reads the cached patterns
     inits, builds, runs = [], [], []
     original_init, original_apery = semigroup.MembershipTable.__init__, semigroup._apery
-    original_run = betti.evaluate_run
+    original_pass = betti._pattern_pass
 
     def counted_init(self, generators):
         inits.append(generators)
@@ -592,36 +595,43 @@ def test_theorem_rows_build_no_sub_semigroup_table(monkeypatch):
         builds.append(len(moduli))
         return original_apery(generators, moduli)
 
-    def counted_run(run):
-        if any("table" not in S._cache for S in run):
-            runs.append(len(run))
-        return original_run(run)
+    def counted_pass(specs):
+        runs.append(len(specs))
+        return original_pass(specs)
 
     def refused(*args, **kwargs):
         raise AssertionError("a theorem row took a route it does not need")
 
     monkeypatch.setattr(semigroup.MembershipTable, "__init__", counted_init)
     monkeypatch.setattr(semigroup, "_apery", counted_apery)
-    monkeypatch.setattr(betti, "evaluate_run", counted_run)
+    monkeypatch.setattr(betti, "_pattern_pass", counted_pass)
     for module, name in ((binomials, "minimal_generators"), (binomials, "canonical_factorization"),
                          (semigroup, "canonical_factorization")):
         monkeypatch.setattr(module, name, refused)
     assert not hasattr(family, "minimal_generators")
+    # theorem rows take their tables from the walk, not from graded_betti
+    monkeypatch.setattr(family, "graded_betti", refused)
     for abc, j_min, j_max in (((6, 1, 1), 512, 559), ((2, 3, 5), 1000, 1039)):
         assert verify_theorem_b(FamilySpec(*abc), j_min, j_max).passed
-    # theorem A's rows take their tables from the walk, not from graded_betti
-    monkeypatch.setattr(family, "graded_betti", refused)
     assert len(verify_theorem_a(FamilySpec(2, 3, 5), 20).rows) == 40
     assert inits == []
     assert len(builds) == len(runs) > 2
     assert sum(builds) == sum(runs) == 48 + 40 + 40
 
 
-def _cached_totals(raw, totals):
-    """The spec of ``raw`` with its cached Betti table's totals replaced."""
-    S = normalize(raw)
-    S._cache["table"] = graded_betti(S)._replace(totals=totals)
-    return S
+def _forged_ci(mp, raw, totals):
+    """is_complete_intersection of ``raw`` with its Betti table's totals replaced."""
+    original = family.graded_betti
+    mp.setattr(family, "graded_betti", lambda S: original(S)._replace(totals=totals))
+    return is_complete_intersection(normalize(raw))
+
+
+def _forged_row(mp, totals):
+    """Theorem B's row j = 1000 of (2,3,5) with its walked table's totals replaced."""
+    original = betti._table_pass
+    mp.setattr(betti, "_table_pass", lambda *args: [t._replace(totals=totals)
+                                                    for t in original(*args)])
+    return verify_theorem_b(FamilySpec(2, 3, 5), 1000, 1000)
 
 
 def _negated(monkeypatch, name):
@@ -631,13 +641,17 @@ def _negated(monkeypatch, name):
 
 _FAMILY_FAULTS = {
     "gluing-ci": (
-        lambda mp: is_complete_intersection(_cached_totals((30, 32, 35, 40), (1, 4, 4, 1, 0))),
+        lambda mp: _forged_ci(mp, (30, 32, 35, 40), (1, 4, 4, 1, 0)),
         "generators (30, 32, 35, 40): the gluing test gives complete intersection True, "
         "the Betti table (mu=4) gives False"),
     "gluing-not-ci": (
-        lambda mp: is_complete_intersection(_cached_totals((23, 25, 28, 33), (1, 3, 3, 1, 0))),
+        lambda mp: _forged_ci(mp, (23, 25, 28, 33), (1, 3, 3, 1, 0)),
         "generators (23, 25, 28, 33): the gluing test gives complete intersection False, "
         "the Betti table (mu=3) gives True"),
+    "gluing-theorem-b-row": (
+        lambda mp: _forged_row(mp, (1, 4, 4, 1, 0)),
+        "generators (1000, 1002, 1005, 1010): the gluing test gives complete intersection "
+        "True, the Betti table (mu=4) gives False"),
     "hs3-coprime-case": (
         lambda mp: _negated(mp, "_hs3_criterion") or ci_check_3gen(12, 1, 2),
         "q=12, a=1, b=2: the general criterion gives complete intersection False, "
